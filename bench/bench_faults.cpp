@@ -19,9 +19,10 @@
  * is replayed off the log drives, and the CSV records MTTR and the
  * throughput on both sides of the outage.
  *
- * Writes `odbsim_faults_xeon-quad-mp.csv` into ODBSIM_CACHE_DIR,
- * honours --jobs/-j/ODBSIM_JOBS with a bit-identical CSV for any job
- * count, and self-checks the degradation physics (exit code 3):
+ * Writes `odbsim_faults_xeon-quad-mp.csv` into the
+ * --csv-dir/ODBSIM_CSV_DIR directory, honours --jobs/-j/ODBSIM_JOBS
+ * with a bit-identical CSV for any job count, and self-checks the
+ * degradation physics (exit code 3):
  * throughput must fall monotonically with the fault scale in each
  * profile, and post-recovery throughput must return to >= 95% of the
  * pre-crash rate.
@@ -32,7 +33,6 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -115,15 +115,6 @@ crashFaults()
     return fc;
 }
 
-std::string
-faultsCsvPath()
-{
-    const char *dir = std::getenv("ODBSIM_CACHE_DIR");
-    std::string path = dir ? dir : ".";
-    path += "/odbsim_faults_xeon-quad-mp.csv";
-    return path;
-}
-
 } // namespace
 
 int
@@ -182,7 +173,8 @@ main(int argc, char **argv)
 
     // --- CSV (deterministic; diffed serial-vs-parallel by the smoke
     // script) ---
-    const std::string path = faultsCsvPath();
+    const std::string path =
+        bench::csvDir() + "/odbsim_faults_xeon-quad-mp.csv";
     if (FILE *f = std::fopen(path.c_str(), "w")) {
         std::fprintf(f,
                      "fault_scale,profile,warehouses,processors,"

@@ -40,7 +40,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/des_grid.hh"
 #include "core/experiment.hh"
 #include "core/repeat.hh"
 #include "db/buffer_cache.hh"
@@ -48,7 +47,6 @@
 #include "db/lock_manager.hh"
 #include "mem/cache.hh"
 #include "mem/hierarchy.hh"
-#include "odb/host_replay.hh"
 #include "odb/workload.hh"
 #include "os/system.hh"
 #include "sim/event_queue.hh"
@@ -1495,57 +1493,6 @@ main(int argc, char **argv)
                  replay_rate, sim_tps);
 
     std::fprintf(stderr,
-                 "[hotpath] host-parallel shard replay (4 groups, "
-                 "1 vs %u threads)...\n",
-                 kShardThreads);
-    odb::HostReplayConfig hrc;
-    hrc.warehouses = 64;
-    hrc.groups = 4;
-    hrc.txnsPerGroup = 6'000;
-    hrc.dbShards = 4;
-    double hr_serial_secs = 0.0, hr_par_secs = 0.0;
-    std::uint64_t hr_actions = 0, hr_serial_digest = 0,
-                  hr_par_digest = 0;
-    for (int rep = 0; rep < 3; ++rep) {
-        hrc.threads = 1;
-        const odb::HostReplayResult s = odb::HostReplay::run(hrc);
-        hrc.threads = kShardThreads;
-        const odb::HostReplayResult p = odb::HostReplay::run(hrc);
-        hr_serial_secs = rep == 0 ? s.replaySeconds
-                                  : std::min(hr_serial_secs,
-                                             s.replaySeconds);
-        hr_par_secs = rep == 0
-                          ? p.replaySeconds
-                          : std::min(hr_par_secs, p.replaySeconds);
-        hr_serial_digest = s.digest;
-        hr_par_digest = p.digest;
-        hr_actions = s.cross.actions;
-        for (const odb::HostReplayGroupStats &g : s.groups)
-            hr_actions += g.actions;
-        if (hr_serial_digest != hr_par_digest) {
-            std::fprintf(
-                stderr,
-                "[hotpath] FATAL: host replay digests diverge "
-                "(serial %llu vs %u-thread %llu) — the replay is not "
-                "thread-count invariant\n",
-                static_cast<unsigned long long>(hr_serial_digest),
-                kShardThreads,
-                static_cast<unsigned long long>(hr_par_digest));
-            return 1;
-        }
-    }
-    const double hr_speedup = hr_serial_secs / hr_par_secs;
-    std::fprintf(stderr,
-                 "[hotpath]   serial    %.2fM actions/s\n"
-                 "[hotpath]   %u-thread  %.2fM actions/s\n"
-                 "[hotpath]   speedup_vs_serial %.2fx "
-                 "(digests identical)\n",
-                 static_cast<double>(hr_actions) / hr_serial_secs / 1e6,
-                 kShardThreads,
-                 static_cast<double>(hr_actions) / hr_par_secs / 1e6,
-                 hr_speedup);
-
-    std::fprintf(stderr,
                  "[hotpath] reference grid point (W=10, P=4)...\n");
     core::OltpConfiguration cfg;
     cfg.warehouses = 10;
@@ -1653,75 +1600,6 @@ main(int argc, char **argv)
                      "(ODBSIM_HOTPATH_100X=0)\n");
     }
 
-    // Conservative parallel DES: one S-island shared-nothing
-    // deployment measured on the shared-queue oracle, then on the
-    // parallel engine at 1 and S workers. All three digests must
-    // agree (fatal — the engine's whole contract is bit-exactness);
-    // the 1-vs-S wall-clock gate only arms when the host actually has
-    // S cores to run the islands on. The 100x switch picks between
-    // the full-size deployment and a quick small one.
-    constexpr unsigned kDesIslands = 4;
-    const bool des_gate = host_cores >= kDesIslands;
-    std::fprintf(stderr,
-                 "[hotpath] parallel DES (S=%u islands, oracle vs "
-                 "1 vs %u workers)...\n",
-                 kDesIslands, kDesIslands);
-    core::DesGridConfig dcfg;
-    dcfg.islands = kDesIslands;
-    if (run_100x) {
-        dcfg.warehousesPerIsland = 10;
-        dcfg.cpusPerIsland = 4;
-        dcfg.warmup = ticksFromMs(50.0);
-        dcfg.measure = ticksFromMs(250.0);
-    } else {
-        dcfg.warehousesPerIsland = 2;
-        dcfg.cpusPerIsland = 2;
-        dcfg.clientsPerIsland = 6;
-        dcfg.warmup = ticksFromMs(20.0);
-        dcfg.measure = ticksFromMs(60.0);
-    }
-    dcfg.oracle = true;
-    const core::DesGridResult des_oracle = core::runDesGridPoint(dcfg);
-    dcfg.oracle = false;
-    double des1_wall = 0.0, desS_wall = 0.0;
-    std::uint64_t des1_digest = 0, desS_digest = 0;
-    for (int rep = 0; rep < 2; ++rep) {
-        dcfg.desThreads = 1;
-        const core::DesGridResult a = core::runDesGridPoint(dcfg);
-        dcfg.desThreads = kDesIslands;
-        const core::DesGridResult b = core::runDesGridPoint(dcfg);
-        des1_wall = rep == 0 ? a.wallSeconds
-                             : std::min(des1_wall, a.wallSeconds);
-        desS_wall = rep == 0 ? b.wallSeconds
-                             : std::min(desS_wall, b.wallSeconds);
-        des1_digest = a.digest;
-        desS_digest = b.digest;
-    }
-    if (des1_digest != des_oracle.digest ||
-        desS_digest != des_oracle.digest) {
-        std::fprintf(
-            stderr,
-            "[hotpath] FATAL: parallel DES digests diverge "
-            "(oracle %llu, 1-worker %llu, %u-worker %llu) — the "
-            "engine is not bit-exact against the serial oracle\n",
-            static_cast<unsigned long long>(des_oracle.digest),
-            static_cast<unsigned long long>(des1_digest), kDesIslands,
-            static_cast<unsigned long long>(desS_digest));
-        return 1;
-    }
-    const double des_speedup = des1_wall / desS_wall;
-    std::fprintf(stderr,
-                 "[hotpath]   1-worker  %.3fs\n"
-                 "[hotpath]   %u-worker  %.3fs\n"
-                 "[hotpath]   speedup_vs_serial %.2fx "
-                 "(%llu epochs, %llu cross events, digests "
-                 "identical)\n",
-                 des1_wall, kDesIslands, desS_wall, des_speedup,
-                 static_cast<unsigned long long>(
-                     des_oracle.epochBarriers),
-                 static_cast<unsigned long long>(
-                     des_oracle.crossDelivered));
-
     std::FILE *f = std::fopen(out_path, "w");
     if (!f) {
         std::fprintf(stderr, "[hotpath] cannot write %s\n", out_path);
@@ -1799,17 +1677,6 @@ main(int argc, char **argv)
         "    \"txns_per_host_sec\": %.0f,\n"
         "    \"sim_tps\": %.1f\n"
         "  },\n"
-        "  \"replay_parallel\": {\n"
-        "    \"groups\": %u,\n"
-        "    \"db_shards\": %u,\n"
-        "    \"threads\": %u,\n"
-        "    \"host_cores\": %u,\n"
-        "    \"actions\": %llu,\n"
-        "    \"serial_replay_seconds\": %.4f,\n"
-        "    \"parallel_replay_seconds\": %.4f,\n"
-        "    \"speedup_vs_serial\": %.3f,\n"
-        "    \"digest_cross_check\": \"passed\"\n"
-        "  },\n"
         "  \"grid_point\": {\n"
         "    \"warehouses\": %u,\n"
         "    \"processors\": %u,\n"
@@ -1838,19 +1705,6 @@ main(int argc, char **argv)
         "    \"speedup_vs_serial\": %.3f,\n"
         "    \"bitwise_cross_check\": \"passed\"\n"
         "  },\n"
-        "  \"des_parallel\": {\n"
-        "    \"islands\": %u,\n"
-        "    \"warehouses_per_island\": %u,\n"
-        "    \"host_cores\": %u,\n"
-        "    \"speedup_gate_active\": %s,\n"
-        "    \"lookahead_ticks\": %llu,\n"
-        "    \"epoch_barriers\": %llu,\n"
-        "    \"cross_events\": %llu,\n"
-        "    \"serial_wall_seconds\": %.3f,\n"
-        "    \"parallel_wall_seconds\": %.3f,\n"
-        "    \"speedup_vs_serial\": %.3f,\n"
-        "    \"digest_cross_check\": \"passed\"\n"
-        "  },\n"
         "  \"provenance\": {\n"
         "    \"compiler\": \"%s\",\n"
         "    \"build_type\": \"%s\",\n"
@@ -1867,23 +1721,14 @@ main(int argc, char **argv)
         buf1_rate, buf4_rate, buf_shard_speedup, kShardThreads,
         static_cast<unsigned long long>(kPoolTasks), host_cores,
         shard_gate ? "true" : "false", pool_ws_rate, pool_legacy_rate,
-        pool_speedup, replay_rate, sim_tps, hrc.groups, hrc.dbShards,
-        kShardThreads, host_cores,
-        static_cast<unsigned long long>(hr_actions), hr_serial_secs,
-        hr_par_secs, hr_speedup, r.warehouses, r.processors,
+        pool_speedup, replay_rate, sim_tps, r.warehouses, r.processors,
         r.wallSeconds, static_cast<unsigned long long>(r.eventsFired),
         r.eventsPerSec(), run_100x ? "false" : "true", big.warehouses,
         big.processors, big.clients, big.wallSeconds,
         static_cast<unsigned long long>(big.eventsFired),
         big.eventsPerSec(), big.tps, run_100x ? "false" : "true",
         kIntraW, kIntraP, kIntraRepeats, kShardThreads,
-        intra_serial_wall, intra_par_wall, intra_speedup, kDesIslands,
-        dcfg.warehousesPerIsland, host_cores,
-        des_gate ? "true" : "false",
-        static_cast<unsigned long long>(des_oracle.lookahead),
-        static_cast<unsigned long long>(des_oracle.epochBarriers),
-        static_cast<unsigned long long>(des_oracle.crossDelivered),
-        des1_wall, desS_wall, des_speedup, __VERSION__,
+        intra_serial_wall, intra_par_wall, intra_speedup, __VERSION__,
         ODBSIM_BUILD_TYPE, ODBSIM_GIT_REV);
     std::fclose(f);
     std::fprintf(stderr, "[hotpath] wrote %s\n", out_path);
@@ -1943,13 +1788,6 @@ main(int argc, char **argv)
                      "[hotpath] WARNING: work-stealing pool speedup "
                      "%.2fx is below the 1.3x gate\n",
                      pool_speedup);
-        rc = 2;
-    }
-    if (des_gate && des_speedup < 1.3) {
-        std::fprintf(stderr,
-                     "[hotpath] WARNING: parallel DES speedup %.2fx "
-                     "is below the 1.3x gate\n",
-                     des_speedup);
         rc = 2;
     }
     return rc;

@@ -14,18 +14,17 @@
  *  - shared-nothing     — four 1-socket instances (island(1)).
  *
  * Writes `odbsim_islands_xeon-quad-mp.csv` (plus a `_profile.csv`
- * sidecar under --profile) into ODBSIM_CACHE_DIR like the study
- * benches, honours --jobs/-j/ODBSIM_JOBS, and self-checks the sweep's
- * headline physics: shared-nothing wins under an expensive
- * interconnect, shared-everything wins when remote access is free
- * (exit code 3 if the crossover is absent).
+ * sidecar under --profile) into the --csv-dir/ODBSIM_CSV_DIR directory
+ * like the study benches, honours --jobs/-j/ODBSIM_JOBS, and
+ * self-checks the sweep's headline physics: shared-nothing wins under
+ * an expensive interconnect, shared-everything wins when remote access
+ * is free (exit code 3 if the crossover is absent).
  */
 
 #include "support/bench_common.hh"
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -99,15 +98,6 @@ topologyFor(double scale)
     return t;
 }
 
-std::string
-islandsCsvPath()
-{
-    const char *dir = std::getenv("ODBSIM_CACHE_DIR");
-    std::string path = dir ? dir : ".";
-    path += "/odbsim_islands_xeon-quad-mp.csv";
-    return path;
-}
-
 } // namespace
 
 int
@@ -164,7 +154,8 @@ main(int argc, char **argv)
 
     // --- CSV (deterministic; diffed serial-vs-parallel by the smoke
     // script) ---
-    const std::string path = islandsCsvPath();
+    const std::string path =
+        bench::csvDir() + "/odbsim_islands_xeon-quad-mp.csv";
     if (FILE *f = std::fopen(path.c_str(), "w")) {
         std::fprintf(f, "penalty_scale,deployment,sockets,warehouses,"
                         "processors,clients,tps,cpi,mpi,"

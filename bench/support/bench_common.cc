@@ -1,8 +1,12 @@
 #include "bench_common.hh"
 
 #include "core/study_io.hh"
+#include "db/types.hh"
 
+#include <bit>
+#include <cerrno>
 #include <cinttypes>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -21,66 +25,60 @@ figureWarehouseGrid()
 namespace
 {
 
-/** Worker count for study measurement; seeded from ODBSIM_JOBS. */
-unsigned g_jobs = []() -> unsigned {
-    const char *env = std::getenv("ODBSIM_JOBS");
-    if (!env)
-        return 1;
-    const long v = std::strtol(env, nullptr, 10);
-    return v >= 0 ? static_cast<unsigned>(v) : 1;
-}();
+/** Worker count for study measurement (--jobs / ODBSIM_JOBS). */
+unsigned g_jobs = 1;
 
-/** Per-point wall-time reporting; seeded from ODBSIM_PROFILE. */
-bool g_profile = []() {
-    const char *env = std::getenv("ODBSIM_PROFILE");
-    return env && *env && std::strcmp(env, "0") != 0;
-}();
+/** Per-point wall-time reporting (--profile / ODBSIM_PROFILE). */
+bool g_profile = false;
 
-/** Engine shard count; seeded from ODBSIM_SHARDS. */
-unsigned g_shards = []() -> unsigned {
-    const char *env = std::getenv("ODBSIM_SHARDS");
-    if (!env)
-        return 1;
-    const long v = std::strtol(env, nullptr, 10);
-    return v >= 1 ? static_cast<unsigned>(v) : 1;
-}();
+/** Engine shard count (--shards / ODBSIM_SHARDS). */
+unsigned g_shards = 1;
 
-/** Event-queue kind; seeded from ODBSIM_EVENT_QUEUE. */
-EventQueueKind g_eq_kind = []() {
-    const char *env = std::getenv("ODBSIM_EVENT_QUEUE");
-    if (env && std::strcmp(env, "heap") == 0)
-        return EventQueueKind::heap;
-    return EventQueueKind::wheel;
-}();
+/** CSV directory: --csv-dir > ODBSIM_CSV_DIR > dir(argv[0]) > ".". */
+std::string g_csv_dir;
 
-/** Intra-run replay worker threads; seeded from ODBSIM_REPLAY_THREADS. */
-unsigned g_replay_threads = []() -> unsigned {
-    const char *env = std::getenv("ODBSIM_REPLAY_THREADS");
-    if (!env)
-        return 1;
-    const long v = std::strtol(env, nullptr, 10);
-    return v >= 0 ? static_cast<unsigned>(v) : 1;
-}();
+/** Stop the bench: @p value is not a valid setting of knob @p name. */
+[[noreturn]] void
+badValue(const char *name, const char *value, const std::string &expected)
+{
+    std::fprintf(stderr, "[bench] invalid %s '%s': expected %s\n", name,
+                 value, expected.c_str());
+    std::exit(2);
+}
 
-/** DES worker threads; seeded from ODBSIM_DES_THREADS. */
-unsigned g_des_threads = []() -> unsigned {
-    const char *env = std::getenv("ODBSIM_DES_THREADS");
-    if (!env)
-        return 1;
-    const long v = std::strtol(env, nullptr, 10);
-    return v >= 0 ? static_cast<unsigned>(v) : 1;
-}();
+/** Parse @p text as a whole decimal number in [@p lo, @p hi]. */
+bool
+parseWhole(const char *text, unsigned lo, unsigned hi, unsigned &out)
+{
+    char *end = nullptr;
+    errno = 0;
+    const long long v = std::strtoll(text, &end, 10);
+    if (end == text || *end != '\0' || errno == ERANGE || v < lo ||
+        v > hi)
+        return false;
+    out = static_cast<unsigned>(v);
+    return true;
+}
 
-/** Study-cache CSV directory; resolution order is --csv-dir >
- *  ODBSIM_CSV_DIR > ODBSIM_CACHE_DIR (legacy) > dir(argv[0]),
- *  finalized by parseArgs(). */
-std::string g_csv_dir = []() -> std::string {
-    if (const char *env = std::getenv("ODBSIM_CSV_DIR"))
-        return env;
-    if (const char *env = std::getenv("ODBSIM_CACHE_DIR"))
-        return env;
-    return {};
-}();
+unsigned
+parseJobs(const char *name, const char *text)
+{
+    unsigned v = 0;
+    if (!parseWhole(text, 0, UINT_MAX, v))
+        badValue(name, text, "a non-negative integer (0 = all cores)");
+    return v;
+}
+
+unsigned
+parseShards(const char *name, const char *text)
+{
+    unsigned v = 0;
+    if (!parseWhole(text, 1, db::maxShards, v) || !std::has_single_bit(v))
+        badValue(name, text,
+                 "a power of two in [1, " +
+                     std::to_string(db::maxShards) + "]");
+    return v;
+}
 
 std::string
 cachePath(core::MachineKind machine)
@@ -137,64 +135,34 @@ costHintFromProfile(const std::string &study_path)
 void
 parseArgs(int argc, char **argv)
 {
+    if (const char *env = std::getenv("ODBSIM_JOBS"); env && *env)
+        g_jobs = parseJobs("ODBSIM_JOBS", env);
+    if (const char *env = std::getenv("ODBSIM_PROFILE"))
+        g_profile = *env && std::strcmp(env, "0") != 0;
+    if (const char *env = std::getenv("ODBSIM_SHARDS"); env && *env)
+        g_shards = parseShards("ODBSIM_SHARDS", env);
+    if (const char *env = std::getenv("ODBSIM_CSV_DIR"))
+        g_csv_dir = env;
+
     for (int i = 1; i < argc; ++i) {
-        const bool is_jobs = std::strcmp(argv[i], "--jobs") == 0 ||
-                             std::strcmp(argv[i], "-j") == 0;
-        if (is_jobs && i + 1 < argc) {
-            const long v = std::strtol(argv[++i], nullptr, 10);
-            if (v < 0) {
-                std::fprintf(stderr, "[bench] ignoring negative --jobs\n");
-                continue;
-            }
-            g_jobs = static_cast<unsigned>(v);
-        } else if (std::strcmp(argv[i], "--profile") == 0) {
-            g_profile = true;
-        } else if (std::strcmp(argv[i], "--shards") == 0 &&
-                   i + 1 < argc) {
-            const long v = std::strtol(argv[++i], nullptr, 10);
-            if (v < 1) {
-                std::fprintf(stderr,
-                             "[bench] ignoring non-positive --shards\n");
-                continue;
-            }
-            g_shards = static_cast<unsigned>(v);
-        } else if (std::strcmp(argv[i], "--event-queue") == 0 &&
-                   i + 1 < argc) {
-            const char *kind = argv[++i];
-            if (std::strcmp(kind, "heap") == 0) {
-                g_eq_kind = EventQueueKind::heap;
-            } else if (std::strcmp(kind, "wheel") == 0) {
-                g_eq_kind = EventQueueKind::wheel;
-            } else {
-                std::fprintf(stderr,
-                             "[bench] unknown --event-queue '%s' "
-                             "(expected wheel|heap)\n",
-                             kind);
-            }
-        } else if (std::strcmp(argv[i], "--replay-threads") == 0 &&
-                   i + 1 < argc) {
-            const long v = std::strtol(argv[++i], nullptr, 10);
-            if (v < 0) {
-                std::fprintf(stderr,
-                             "[bench] ignoring negative "
-                             "--replay-threads\n");
-                continue;
-            }
-            g_replay_threads = static_cast<unsigned>(v);
-        } else if (std::strcmp(argv[i], "--des-threads") == 0 &&
-                   i + 1 < argc) {
-            const long v = std::strtol(argv[++i], nullptr, 10);
-            if (v < 0) {
-                std::fprintf(stderr,
-                             "[bench] ignoring negative "
-                             "--des-threads\n");
-                continue;
-            }
-            g_des_threads = static_cast<unsigned>(v);
-        } else if (std::strcmp(argv[i], "--csv-dir") == 0 &&
-                   i + 1 < argc) {
-            g_csv_dir = argv[++i];
+        const char *arg = argv[i];
+        const bool is_jobs = std::strcmp(arg, "--jobs") == 0 ||
+                             std::strcmp(arg, "-j") == 0;
+        const bool takes_value = is_jobs ||
+                                 std::strcmp(arg, "--shards") == 0 ||
+                                 std::strcmp(arg, "--csv-dir") == 0;
+        if (takes_value && i + 1 >= argc) {
+            std::fprintf(stderr, "[bench] missing value for %s\n", arg);
+            std::exit(2);
         }
+        if (is_jobs)
+            g_jobs = parseJobs(arg, argv[++i]);
+        else if (std::strcmp(arg, "--profile") == 0)
+            g_profile = true;
+        else if (std::strcmp(arg, "--shards") == 0)
+            g_shards = parseShards(arg, argv[++i]);
+        else if (std::strcmp(arg, "--csv-dir") == 0)
+            g_csv_dir = argv[++i];
     }
     // No explicit directory anywhere: default to the directory holding
     // the bench binary (the build tree), so caches land in one
@@ -219,30 +187,6 @@ profileEnabled()
     return g_profile;
 }
 
-unsigned
-dbShards()
-{
-    return g_shards;
-}
-
-EventQueueKind
-eventQueueKind()
-{
-    return g_eq_kind;
-}
-
-unsigned
-replayThreads()
-{
-    return g_replay_threads;
-}
-
-unsigned
-desThreads()
-{
-    return g_des_threads;
-}
-
 const std::string &
 csvDir()
 {
@@ -254,12 +198,6 @@ void
 applyEngineKnobs(core::RunKnobs &knobs)
 {
     knobs.dbShards = g_shards;
-    knobs.eventQueue = g_eq_kind;
-    // Host-execution knobs, not engine knobs: any value produces
-    // bit-identical metrics (like --jobs), so they deliberately do not
-    // join the cache-bypass predicate in sharedStudy() below.
-    knobs.replayThreads = g_replay_threads;
-    knobs.desThreads = g_des_threads;
 }
 
 void
@@ -278,13 +216,11 @@ core::StudyResult
 sharedStudy(core::MachineKind machine)
 {
     const std::string path = cachePath(machine);
-    // Non-default engine knobs must never read or write the shared
-    // cache: the committed goldens are defined by the K=1 / wheel
-    // configuration (bit-identical to the pre-shard engine).
-    const bool default_engine =
-        g_shards == 1 && g_eq_kind == EventQueueKind::wheel;
+    // A non-default shard count must never read or write the shared
+    // cache: the committed goldens are defined by the K=1 layout
+    // (bit-identical to the pre-shard engine).
     const bool no_cache =
-        std::getenv("ODBSIM_NO_CACHE") != nullptr || !default_engine;
+        std::getenv("ODBSIM_NO_CACHE") != nullptr || g_shards != 1;
     core::StudyResult study;
     if (!no_cache && loadStudy(path, study)) {
         std::fprintf(stderr, "[bench] loaded cached study from %s\n",

@@ -3,7 +3,7 @@
  * Shared infrastructure for the reproduction benches: each bench
  * regenerates one table or figure of the paper. The full W x P
  * characterization study is expensive, so its results are cached in a
- * CSV next to the working directory and shared by every bench binary
+ * CSV in the --csv-dir directory and shared by every bench binary
  * (delete the file, or set ODBSIM_NO_CACHE=1, to force remeasurement).
  */
 
@@ -32,33 +32,21 @@ std::vector<unsigned> figureWarehouseGrid();
  *    time and events fired as points complete (and a study total),
  *    plus write a `*_profile.csv` sidecar next to the study cache;
  *  - `--shards K` (env `ODBSIM_SHARDS`): engine shard count for the
- *    lock manager and buffer cache (power of two; default 1, the
- *    paper-exact layout);
- *  - `--event-queue wheel|heap` (env `ODBSIM_EVENT_QUEUE`): event
- *    queue ordering structure (default wheel; heap is the
- *    bit-identical oracle);
- *  - `--replay-threads N` (env `ODBSIM_REPLAY_THREADS`): host worker
- *    threads for the intra-run replay-side parallel phases (sharded
- *    instant-warm prefill; 1 = serial default, 0 = one per hardware
- *    thread). A host-execution knob like `--jobs`: metrics are
- *    bit-identical at any value, so it does not bypass the CSV cache;
- *  - `--des-threads N` (env `ODBSIM_DES_THREADS`): DES worker threads
- *    for the conservative parallel event engine (island-per-thread;
- *    1 = serial default, 0 = one per hardware thread). A
- *    host-execution knob like `--jobs` and `--replay-threads`:
- *    metrics are bit-identical at any value, so it does not bypass
- *    the CSV cache;
- *  - `--csv-dir DIR` (env `ODBSIM_CSV_DIR`; legacy `ODBSIM_CACHE_DIR`
- *    still honoured): directory for the shared study-cache CSVs (and
- *    their profile sidecars). Defaults to the directory holding the
- *    bench binary — the build tree — so stray CSVs never land in the
- *    source tree or whatever directory the bench was invoked from.
+ *    lock manager and buffer cache (power of two in [1, 256]; default
+ *    1, the paper-exact layout);
+ *  - `--csv-dir DIR` (env `ODBSIM_CSV_DIR`): directory for every CSV
+ *    a bench writes (study caches, their profile sidecars, the
+ *    islands and faults sweeps). Defaults to the directory holding
+ *    the bench binary — the build tree — so stray CSVs never land in
+ *    the source tree or whatever directory the bench was invoked from.
  *
- * Flags win over the environment. Unknown arguments are ignored so
+ * Flags win over the environment. A missing, malformed or
+ * out-of-range value, from either, stops the bench with a one-line
+ * message and exit code 2. Unknown arguments are ignored so
  * bench-specific flags can coexist. Results are seed-deterministic
  * regardless of the job count (profiling only observes, never
- * perturbs, the simulation). Studies measured with non-default
- * engine knobs bypass the shared CSV cache so the committed goldens
+ * perturbs, the simulation). Studies measured with a non-default
+ * shard count bypass the shared CSV cache so the committed goldens
  * can never be poisoned by an experimental configuration.
  */
 void parseArgs(int argc, char **argv);
@@ -69,25 +57,11 @@ unsigned studyJobs();
 /** True if --profile / ODBSIM_PROFILE=1 requested per-point timing. */
 bool profileEnabled();
 
-/** Engine shard count selected by --shards/ODBSIM_SHARDS (default 1). */
-unsigned dbShards();
-
-/** Event-queue kind selected by --event-queue/ODBSIM_EVENT_QUEUE. */
-EventQueueKind eventQueueKind();
-
-/** Replay-side worker threads selected by
- *  --replay-threads/ODBSIM_REPLAY_THREADS (default 1). */
-unsigned replayThreads();
-
-/** DES worker threads selected by --des-threads/ODBSIM_DES_THREADS
- *  (default 1). */
-unsigned desThreads();
-
-/** Study-cache CSV directory selected by --csv-dir/ODBSIM_CSV_DIR
- *  (default: the directory holding the bench binary). */
+/** CSV directory selected by --csv-dir/ODBSIM_CSV_DIR (default: the
+ *  directory holding the bench binary). */
 const std::string &csvDir();
 
-/** Apply the parsed engine knobs (shards, event queue) to @p knobs. */
+/** Apply the parsed engine knob (shards) to @p knobs. */
 void applyEngineKnobs(core::RunKnobs &knobs);
 
 /**

@@ -25,7 +25,7 @@ main(int argc, char **argv)
     using namespace odbsim;
     using analysis::TextTable;
 
-    // Shared knobs (--jobs/--shards/--event-queue/--profile) live in
+    // Shared knobs (--jobs/--shards/--profile) live in
     // bench_common; only the positional machine name is local.
     bench::parseArgs(argc, argv);
     core::StudyConfig cfg;

@@ -6,11 +6,9 @@
 # speedup gates and cross-checks the flat directory against the legacy
 # implementation), then regenerates both scaling-study CSVs into
 # scratch caches — once serially, once with the parallel
-# longest-first scheduler (--jobs 0), once with --des-threads 4 (the
-# conservative parallel DES engine), and once with --jobs 3
-# --replay-threads 2 --des-threads 4 (every host-execution knob at
-# once must be invisible in the output) — and diffs every
-# regeneration against the goldens committed at the repo root.
+# longest-first scheduler (--jobs 0), and once with --jobs 3 (an odd
+# worker count) — and diffs every regeneration against the goldens
+# committed at the repo root.
 #
 # Every bench invocation pins ODBSIM_CSV_DIR to a scratch directory
 # (removed on exit), so the script never leaves stray study CSVs in
@@ -93,31 +91,15 @@ ODBSIM_CSV_DIR="$cache_parallel" "$build_dir/bench/bench_fig09_cpi" -j 0 > /dev/
 ODBSIM_CSV_DIR="$cache_parallel" "$build_dir/bench/bench_fig19_itanium2" -j 0 > /dev/null
 check_goldens "$cache_parallel" "parallel"
 
-echo "== regenerate study CSVs with a cold cache (--des-threads 4) =="
-# The conservative parallel DES engine is a host-execution knob: the
-# committed goldens must come out byte-exact at any worker count
-# (--des-threads deliberately does not bypass the CSV cache — see
-# EXPERIMENTS.md).
-cache_des="$(mktemp -d)"
-trap 'rm -rf "$cache_serial" "$cache_parallel" "$cache_des"' EXIT
-ODBSIM_CSV_DIR="$cache_des" "$build_dir/bench/bench_fig09_cpi" \
-    --des-threads 4 > /dev/null
-ODBSIM_CSV_DIR="$cache_des" "$build_dir/bench/bench_fig19_itanium2" \
-    --des-threads 4 > /dev/null
-check_goldens "$cache_des" "des-threads4"
-
-echo "== regenerate study CSVs with a cold cache (--jobs 3 --replay-threads 2 --des-threads 4) =="
-# Every host-execution knob at once: odd study worker count, intra-run
-# replay threads, and the parallel DES engine. The goldens must still
-# come out byte-exact (none of these knobs bypasses the CSV cache —
-# see EXPERIMENTS.md).
-cache_replay="$(mktemp -d)"
-trap 'rm -rf "$cache_serial" "$cache_parallel" "$cache_des" "$cache_replay"' EXIT
-ODBSIM_CSV_DIR="$cache_replay" "$build_dir/bench/bench_fig09_cpi" \
-    --jobs 3 --replay-threads 2 --des-threads 4 > /dev/null
-ODBSIM_CSV_DIR="$cache_replay" "$build_dir/bench/bench_fig19_itanium2" \
-    --jobs 3 --replay-threads 2 --des-threads 4 > /dev/null
-check_goldens "$cache_replay" "jobs3+replay2+des4"
+echo "== regenerate study CSVs with a cold cache (--jobs 3) =="
+# An odd worker count: the goldens must still come out byte-exact.
+cache_jobs3="$(mktemp -d)"
+trap 'rm -rf "$cache_serial" "$cache_parallel" "$cache_jobs3"' EXIT
+ODBSIM_CSV_DIR="$cache_jobs3" "$build_dir/bench/bench_fig09_cpi" \
+    --jobs 3 > /dev/null
+ODBSIM_CSV_DIR="$cache_jobs3" "$build_dir/bench/bench_fig19_itanium2" \
+    --jobs 3 > /dev/null
+check_goldens "$cache_jobs3" "jobs3"
 
 echo "== islands deployment sweep (serial vs --jobs 0 must be bit-identical) =="
 # The sweep self-checks its crossover physics (exit 3 on failure); the

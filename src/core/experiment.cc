@@ -35,8 +35,6 @@ ExperimentRunner::runWithPreset(const MachinePreset &preset,
     // leaves the run bit-identical (inertness contract).
     os::SystemConfig syscfg = preset.sys;
     syscfg.faults = knobs.faults;
-    syscfg.eventQueue = knobs.eventQueue;
-    syscfg.desThreads = knobs.desThreads;
     os::System sys(syscfg);
 
     db::DatabaseConfig dbcfg;
@@ -58,7 +56,7 @@ ExperimentRunner::runWithPreset(const MachinePreset &preset,
     workload.start();
 
     if (knobs.instantWarm)
-        database.instantWarm({}, knobs.replayThreads);
+        database.instantWarm();
     // Dynamic warm-up: larger databases need more transactions to
     // reach steady-state residency of the skew-hot rows.
     const Tick extra_warm = ticksFromMs(

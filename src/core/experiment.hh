@@ -23,7 +23,6 @@
 #include "core/metrics.hh"
 #include "mem/topology.hh"
 #include "os/placement.hh"
-#include "sim/event_queue.hh"
 #include "sim/fault.hh"
 #include "sim/types.hh"
 
@@ -89,33 +88,6 @@ struct RunKnobs
      *  (power of two; 1 = the unsharded paper-scale layout whose
      *  goldens are byte-exact — see docs/SCALE.md). */
     unsigned dbShards = 1;
-    /** Event-queue ordering structure (wheel default; the heap kind
-     *  is the bit-identical differential/perf oracle). */
-    EventQueueKind eventQueue = EventQueueKind::wheel;
-    /**
-     * Host worker threads for the intra-run replay-side parallel
-     * phases (today: the instant-warm buffer-cache prefill, which is
-     * partitioned by buffer shard). 1 (default) is the legacy serial
-     * path; 0 = one worker per hardware thread. A *host-execution*
-     * knob like StudyConfig::jobs, not an engine knob: the simulated
-     * machine and every metric are bit-identical at any value, so it
-     * does not bypass the study CSV caches (enforced by
-     * scripts/bench_smoke.sh's --replay-threads byte-diff).
-     */
-    unsigned replayThreads = 1;
-    /**
-     * Host worker threads for the conservative parallel DES engine
-     * (sim::ParallelEngine) when the deployment has multiple islands;
-     * 1 (default) advances islands serially, 0 = one worker per
-     * hardware thread. Every paper grid point is a single coherence
-     * domain — one island — where the engine degenerates to the plain
-     * serial event queue, so this is a *host-execution* knob like
-     * @ref replayThreads: results and the golden study CSVs are
-     * bit-identical at any value (enforced by bench_smoke.sh's
-     * --des-threads byte-diff and the des_determinism_contract test)
-     * and it does not bypass the study CSV caches.
-     */
-    unsigned desThreads = 1;
 };
 
 /**

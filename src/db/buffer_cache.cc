@@ -10,11 +10,10 @@ namespace odbsim::db
 BufferCache::BufferCache(std::uint64_t frames, unsigned shards)
     : frameMod_(frames), totalFrames_(frames), shardCount_(shards)
 {
-    odbsim_assert(shards >= 1 && shards <= 256 &&
+    odbsim_assert(shards >= 1 && shards <= maxShards &&
                       std::has_single_bit(shards),
                   "buffer cache shard count must be a power of two in "
-                  "[1, 256], got ",
-                  shards);
+                  "[1, ", maxShards, "], got ", shards);
     odbsim_assert(frames >= 8 * shards,
                   "buffer cache needs at least 8 frames per shard");
     // One shared frame array; the K list sentinels live past the end

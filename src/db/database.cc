@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "sim/logging.hh"
-#include "sim/thread_pool.hh"
 
 namespace odbsim::db
 {
@@ -37,8 +36,7 @@ Database::start()
 }
 
 void
-Database::instantWarm(const std::vector<std::uint32_t> &active_warehouses,
-                      unsigned replay_threads)
+Database::instantWarm(const std::vector<std::uint32_t> &active_warehouses)
 {
     // Collect hottest-first, then prefill coldest-first so the LRU
     // order in the cache matches hotness (hottest prefilled last ends
@@ -56,27 +54,11 @@ Database::instantWarm(const std::vector<std::uint32_t> &active_warehouses,
             return hot.size() < budget;
         },
         active_warehouses.empty() ? nullptr : &active_warehouses);
-    const auto dirtyOf = [this](BlockId b) {
-        return Schema::mix(b, 0xd1d1, 0) % 1000 <
-               static_cast<std::uint64_t>(cfg_.warmDirtyFraction * 1000.0);
-    };
-    const unsigned shards = bufcache_.shards();
-    if (replay_threads == 1 || shards == 1 || hot.size() < 2) {
-        for (auto it = hot.rbegin(); it != hot.rend(); ++it)
-            bufcache_.prefill(*it, dirtyOf(*it));
-    } else {
-        // Host-parallel fill: split the coldest-first stream by buffer
-        // shard. prefill() touches only its block's shard (map, free
-        // list, LRU chain, frame range are all per-shard), and each
-        // shard sees its blocks in the same relative order as the
-        // serial loop, so the final cache state is bit-identical.
-        std::vector<std::vector<BlockId>> per_shard(shards);
-        for (auto it = hot.rbegin(); it != hot.rend(); ++it)
-            per_shard[bufcache_.shardOf(*it)].push_back(*it);
-        hostParallelFor(replay_threads, shards, [&](std::size_t s) {
-            for (BlockId b : per_shard[s])
-                bufcache_.prefill(b, dirtyOf(b));
-        });
+    for (auto it = hot.rbegin(); it != hot.rend(); ++it) {
+        const bool dirty =
+            Schema::mix(*it, 0xd1d1, 0) % 1000 <
+            static_cast<std::uint64_t>(cfg_.warmDirtyFraction * 1000.0);
+        bufcache_.prefill(*it, dirty);
     }
     bufcache_.resetStats();
 }

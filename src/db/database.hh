@@ -70,18 +70,9 @@ class Database
      *
      * @param active_warehouses Home warehouses of the bound clients;
      *        empty means all warehouses are active.
-     * @param replay_threads Host-side parallelism for the prefill
-     *        replay (RunKnobs::replayThreads). With a sharded cache
-     *        (K > 1) the hot-block stream is partitioned by buffer
-     *        shard, preserving per-shard order, and the shards are
-     *        prefilled on worker threads; BufferCache::prefill touches
-     *        only its block's shard, so the resulting cache state is
-     *        bit-identical to the serial fill. 1 (default) and K == 1
-     *        take the legacy serial loop unchanged.
      */
     void instantWarm(const std::vector<std::uint32_t>
-                         &active_warehouses = {},
-                     unsigned replay_threads = 1);
+                         &active_warehouses = {});
 
     os::System &sys() { return sys_; }
     Schema &schema() { return schema_; }

@@ -9,11 +9,10 @@ namespace odbsim::db
 
 LockManager::LockManager(unsigned shards) : shardCount_(shards)
 {
-    odbsim_assert(shards >= 1 && shards <= 256 &&
+    odbsim_assert(shards >= 1 && shards <= maxShards &&
                       std::has_single_bit(shards),
                   "lock manager shard count must be a power of two in "
-                  "[1, 256], got ",
-                  shards);
+                  "[1, ", maxShards, "], got ", shards);
     shards_.resize(shards);
 }
 

@@ -25,7 +25,6 @@
 #ifndef ODBSIM_MEM_HIERARCHY_HH
 #define ODBSIM_MEM_HIERARCHY_HH
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -296,24 +295,6 @@ class MemorySystem
      * frames at fill time). No-op at S=1; later calls overwrite.
      */
     void setHomeRegion(Addr base, std::uint64_t bytes, unsigned socket);
-    /**
-     * Conservative parallel-DES lookahead in CPU cycles: the minimum
-     * interconnect latency of any cross-socket interaction,
-     * hopLatencyCycles × the minimum hop count between two distinct
-     * sockets. This is the horizon sim::ParallelEngine derives its
-     * epochs from — no island can affect another sooner than this.
-     * 0 at S=1 (there is no second island to look ahead to).
-     */
-    double
-    crossSocketLookaheadCycles() const
-    {
-        if (!multiSocket_)
-            return 0.0;
-        unsigned min_hops = socketHops(0, 1, sockets_);
-        for (unsigned s = 2; s < sockets_; ++s)
-            min_hops = std::min(min_hops, socketHops(0, s, sockets_));
-        return topo_.hopLatencyCycles * min_hops;
-    }
     /** @} */
 
     /** @name Multi-socket statistics (all zero at S=1) @{ */

@@ -54,13 +54,6 @@ class OdbWorkload
     /** Home warehouse of each spawned client. */
     const std::vector<std::uint32_t> &homes() const { return homes_; }
 
-    /**
-     * Server process @p i (valid after start()). Multi-island
-     * deployments use this to address cross-island coordination
-     * messages to a specific server on the target instance.
-     */
-    ServerProcess *server(std::size_t i) const { return servers_[i]; }
-
     /** Called by ServerProcess at commit time. */
     void recordCommit(db::TxnType type, Tick latency, Tick now);
 

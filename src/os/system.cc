@@ -7,12 +7,8 @@
 namespace odbsim::os
 {
 
-System::System(const SystemConfig &cfg, EventQueue *external_eq)
+System::System(const SystemConfig &cfg)
     : cfg_(cfg),
-      ownedEq_(external_eq
-                   ? nullptr
-                   : std::make_unique<EventQueue>(cfg.eventQueue)),
-      eq_(external_eq ? *external_eq : *ownedEq_),
       faults_(cfg.faults, cfg.seed ^ 0xfa17ULL),
       memsys_(cfg.numCpus / std::max(1u, cfg.threadsPerCore),
               cfg.hierarchy, cfg.bus, cfg.core.samplePeriod,
@@ -103,15 +99,6 @@ System::sleepProcess(Process *p, Tick duration,
     eq_.scheduleAfter(duration, [this, p, wake_kernel_instr] {
         sched_.wake(p, wake_kernel_instr);
     });
-}
-
-Tick
-System::desLookaheadTicks() const
-{
-    const double cycles = memsys_.crossSocketLookaheadCycles();
-    if (cycles <= 0.0)
-        return 0;
-    return ClockDomain(cfg_.core.freqHz).cyclesToTicks(cycles);
 }
 
 cpu::WorkItem

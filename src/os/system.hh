@@ -22,7 +22,6 @@
 #include "os/scheduler.hh"
 #include "sim/event_queue.hh"
 #include "sim/fault.hh"
-#include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "sim/types.hh"
 
@@ -58,22 +57,6 @@ struct SystemConfig
     Tick quantum = 20 * tickPerMs;
     /** Fault-injection knobs (default: none; structurally inert). */
     sim::FaultConfig faults;
-    /**
-     * Event-queue ordering structure. The timer wheel (default) and
-     * the binary heap fire events in identical (when, seq) order, so
-     * whole runs are bit-identical across kinds; the heap is retained
-     * as the differential/perf oracle (see docs/SCALE.md).
-     */
-    EventQueueKind eventQueue = EventQueueKind::wheel;
-    /**
-     * Host worker threads for conservative parallel DES
-     * (sim::ParallelEngine) when this system is one island of a
-     * multi-island deployment; 0 selects hardware_concurrency. A
-     * host-execution knob: results are bit-identical at any value.
-     * Ignored by standalone (internally-queued) systems — the serial
-     * engine is the S=1 degenerate case.
-     */
-    unsigned desThreads = 1;
     std::uint64_t seed = 0x0d'b51edeULL;
 };
 
@@ -83,18 +66,7 @@ struct SystemConfig
 class System
 {
   public:
-    /**
-     * Build the machine. With @p external_eq null (the default) the
-     * system owns its event queue — the serial engine. A non-null
-     * @p external_eq binds every event source in the machine (disks,
-     * scheduler, sleeps, lock timeouts, crash plans) to that queue
-     * instead: this is how a System becomes one island of a
-     * sim::ParallelEngine, executing on the island's queue while the
-     * engine owns time advancement. The caller keeps ownership and
-     * must outlive the system.
-     */
-    explicit System(const SystemConfig &cfg,
-                    EventQueue *external_eq = nullptr);
+    explicit System(const SystemConfig &cfg);
 
     const SystemConfig &config() const { return cfg_; }
 
@@ -208,35 +180,11 @@ class System
     cpu::WorkItem makeKernelWork(std::uint64_t instr,
                                  double extra_cycles = 0.0) const;
 
-    /** True when this system executes on an external (island) queue. */
-    bool externallyQueued() const { return ownedEq_ == nullptr; }
-
-    /**
-     * Conservative parallel-DES lookahead in ticks: the memory
-     * system's minimum cross-socket interconnect latency
-     * (hopLatencyCycles × min hops) converted through the core clock.
-     * 0 on single-socket topologies.
-     */
-    Tick desLookaheadTicks() const;
-
-    /** Run the simulation until @p t (absolute). Externally-queued
-     *  systems advance only through their engine's run. @{ */
-    void
-    runUntil(Tick t)
-    {
-        odbsim_assert(!externallyQueued(),
-                      "externally-queued System: advance time through "
-                      "the owning ParallelEngine");
-        eq_.run(t);
-    }
+    /** Run the simulation until @p t (absolute). */
+    void runUntil(Tick t) { eq_.run(t); }
 
     /** Run the simulation for @p d more ticks. */
-    void
-    runFor(Tick d)
-    {
-        runUntil(eq_.curTick() + d);
-    }
-    /** @} */
+    void runFor(Tick d) { eq_.run(eq_.curTick() + d); }
 
     /** @name Measurement-window control @{ */
     void beginMeasurement();
@@ -250,11 +198,7 @@ class System
 
   private:
     SystemConfig cfg_;
-    /** Owned queue when no external one was bound (serial engine). */
-    std::unique_ptr<EventQueue> ownedEq_;
-    /** The queue every event source in this machine schedules on —
-     *  ownedEq_ or the island queue passed at construction. */
-    EventQueue &eq_;
+    EventQueue eq_;
     /** Constructed before disks_ so drive-event binding can refer to
      *  it; its RNG stream is independent of the workload's. */
     sim::FaultPlan faults_;

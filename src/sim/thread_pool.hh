@@ -2,7 +2,7 @@
  * @file
  * A work-stealing worker pool for running independent host-side tasks —
  * the execution engine behind parallel scaling studies and intra-point
- * parallelism (per-seed repeat replicas, host-parallel shard replay).
+ * parallelism (per-seed repeat replicas).
  * The simulator itself stays single-threaded and deterministic; the
  * pool only ever runs *self-contained* jobs concurrently, never parts
  * of one simulation's event loop.
@@ -114,8 +114,8 @@ class ThreadPool
     /**
      * The pool whose worker is executing the calling thread's current
      * task, or nullptr if the caller is not a pool worker. Lets nested
-     * code (repeatRun, host-parallel replay) fan out on the pool it is
-     * already running on instead of spawning a transient pool.
+     * code (repeatRun) fan out on the pool it is already running on
+     * instead of spawning a transient pool.
      */
     static ThreadPool *current();
 
