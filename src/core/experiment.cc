@@ -1,5 +1,6 @@
 #include "core/experiment.hh"
 
+#include <bit>
 #include <chrono>
 
 #include "analysis/iron_law.hh"
@@ -22,12 +23,24 @@ ExperimentRunner::run(const OltpConfiguration &cfg, const RunKnobs &knobs)
                          cfg.placement);
 }
 
+void
+ExperimentRunner::checkInputs(unsigned warehouses, const RunKnobs &knobs)
+{
+    if (warehouses == 0)
+        odbsim_fatal("a run needs at least 1 warehouse, got 0");
+    const unsigned k = knobs.dbShards;
+    if (k == 0 || k > db::maxShards || !std::has_single_bit(k))
+        odbsim_fatal("RunKnobs::dbShards must be a power of two in [1, ",
+                     db::maxShards, "], got ", k);
+}
+
 RunResult
 ExperimentRunner::runWithPreset(const MachinePreset &preset,
                                 unsigned warehouses, unsigned cfg_clients,
                                 const RunKnobs &knobs,
                                 const os::PlacementConfig &placement)
 {
+    checkInputs(warehouses, knobs);
     const auto wall_start = std::chrono::steady_clock::now();
 
     // Knob-level fault plan: copied into the machine description so

@@ -132,6 +132,16 @@ class ExperimentRunner
                                    const RunKnobs &knobs = {},
                                    const os::PlacementConfig &placement =
                                        {});
+
+    /**
+     * @brief Stop with a one-line fatal message unless @p warehouses
+     * and @p knobs describe a point the engine can build: at least one
+     * warehouse, and RunKnobs::dbShards a power of two in
+     * [1, db::maxShards]. runWithPreset() (and so run()) and
+     * ScalingStudy::run call it on entry, so a bad value never reaches
+     * an engine assert.
+     */
+    static void checkInputs(unsigned warehouses, const RunKnobs &knobs);
 };
 
 } // namespace odbsim::core

@@ -73,6 +73,8 @@ ScalingStudy::run(const StudyConfig &cfg)
 {
     odbsim_assert(!cfg.warehouses.empty() && !cfg.processors.empty(),
                   "empty study grid");
+    for (const unsigned w : cfg.warehouses)
+        ExperimentRunner::checkInputs(w, cfg.knobs);
 
     const std::size_t nw = cfg.warehouses.size();
     const std::size_t total = cfg.processors.size() * nw;

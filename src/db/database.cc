@@ -1,8 +1,8 @@
 #include "db/database.hh"
 
-#include <unordered_set>
 #include <vector>
 
+#include "sim/flat_map.hh"
 #include "sim/logging.hh"
 
 namespace odbsim::db
@@ -41,15 +41,21 @@ Database::instantWarm(const std::vector<std::uint32_t> &active_warehouses)
     // Collect hottest-first, then prefill coldest-first so the LRU
     // order in the cache matches hotness (hottest prefilled last ends
     // up at MRU).
-    std::vector<BlockId> hot;
-    hot.reserve(bufcache_.numFrames());
-    std::unordered_set<BlockId> seen;
-    seen.reserve(bufcache_.numFrames());
     const std::uint64_t budget =
         bufcache_.numFrames() - bufcache_.residentBlocks();
+    std::vector<BlockId> hot;
+    hot.reserve(budget);
+    // Flat dedupe table sized once for the whole budget. The stream
+    // repeats blocks (neighbouring districts' rows share one, and
+    // later stages revisit blocks earlier ones emitted); only a
+    // block's first, hottest occurrence keeps its place in the order.
+    sim::FlatMap<BlockId, bool> seen;
+    seen.reserve(budget);
     schema_.enumerateWarm(
         [&](BlockId b) {
-            if (seen.insert(b).second)
+            bool inserted;
+            seen.findOrInsert(b, inserted);
+            if (inserted)
                 hot.push_back(b);
             return hot.size() < budget;
         },

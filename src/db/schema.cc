@@ -105,15 +105,6 @@ Schema::Schema(const SchemaConfig &cfg)
     districtYtd_.assign(dd, 30000.0);
     warehouseYtd_.assign(w, 300000.0);
     historySeq_.assign(w, 0);
-
-    // Size the lazily materialized state for the skew-favoured
-    // working set (hot customers and stock the mix keeps revisiting)
-    // so warm-up materializes it without a rehash. The tables still
-    // grow past this as a long run's populations climb, but only at
-    // high-water marks (see stateAllocations()).
-    liveOrders_.reserve(dd * 64);
-    stockQty_.reserve(w * 1024);
-    custBalance_.reserve(dd * 64);
 }
 
 double

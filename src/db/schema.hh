@@ -202,10 +202,11 @@ class Schema
     /**
      * Growth events of the lazily materialized row-state tables
      * (live orders, stock quantities, customer balances). The tables
-     * are reserved from the warehouse count at construction, so this
-     * only advances when the materialized population outgrows that
-     * initial sizing — planner steady state over a stable working set
-     * must keep it flat.
+     * start at FlatMap's default size whatever the warehouse count
+     * and double when a population reaches a new high-water mark, so
+     * this advances only while the rows a run touches keep growing —
+     * planner steady state over a stable working set must keep it
+     * flat.
      */
     std::uint64_t
     stateAllocations() const
@@ -258,9 +259,12 @@ class Schema
     /**
      * Orders created during the run (others are derived), and the
      * lazily materialized stock quantities / balances. Flat tables on
-     * the planner hot path; reserved from the warehouse count in the
-     * constructor so the warm working set materializes without a
-     * rehash. @{
+     * the planner hot path, sized by the rows the run touches, not by
+     * the warehouse count: each starts small and doubles at a
+     * high-water mark. Stock and balance populations level off at the
+     * skew-hot working set; live orders gain one entry per New-Order
+     * for the whole run (oids are unbounded), so that table keeps
+     * doubling on long runs. @{
      */
     sim::FlatMap<std::uint64_t, OrderInfo> liveOrders_;
     sim::FlatMap<std::uint64_t, std::int32_t> stockQty_;

@@ -69,9 +69,10 @@ class FlatMap
 
     /**
      * @param min_capacity Starting slot count (power of two). The
-     *        default matches the coherence directory's original table:
-     *        well below any real population so reserve() normally
-     *        sizes the table once and warm-up never rehashes.
+     *        default matches the coherence directory's original table.
+     *        A table whose population is known up front (the buffer
+     *        cache's frame count) reserve()s it once; one without a
+     *        bound starts here and doubles at each high-water mark.
      */
     explicit FlatMap(std::size_t min_capacity = 1024)
         : minCapacity_(min_capacity)

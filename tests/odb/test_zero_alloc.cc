@@ -8,7 +8,9 @@
  * structures' own growth counters (mapAllocations(),
  * tableAllocations(), stateAllocations()), and — in non-sanitizer
  * builds — through a replaced global operator new that counts every
- * heap allocation across a steady-state planning loop.
+ * heap allocation across a steady-state planning loop. The same
+ * counter also sums the bytes a database set-up requests, which must
+ * follow the buffer-cache frame count rather than the warehouse count.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +24,7 @@
 
 #include "../support/mini_odb.hh"
 #include "db/buffer_cache.hh"
+#include "db/database.hh"
 #include "db/lock_manager.hh"
 #include "db/trace.hh"
 #include "odb/planner.hh"
@@ -49,6 +52,8 @@
 namespace
 {
 std::atomic<std::uint64_t> g_newCalls{0};
+/** Bytes requested from operator new, summed (frees do not subtract). */
+std::atomic<std::uint64_t> g_newBytes{0};
 } // namespace
 
 #if ODBSIM_TEST_COUNT_GLOBAL_NEW
@@ -56,6 +61,7 @@ void *
 operator new(std::size_t n)
 {
     g_newCalls.fetch_add(1, std::memory_order_relaxed);
+    g_newBytes.fetch_add(n, std::memory_order_relaxed);
     if (void *p = std::malloc(n ? n : 1))
         return p;
     throw std::bad_alloc();
@@ -65,6 +71,7 @@ void *
 operator new[](std::size_t n)
 {
     g_newCalls.fetch_add(1, std::memory_order_relaxed);
+    g_newBytes.fetch_add(n, std::memory_order_relaxed);
     if (void *p = std::malloc(n ? n : 1))
         return p;
     throw std::bad_alloc();
@@ -405,6 +412,35 @@ TEST(ZeroAlloc, BufferCacheIndexReservedForFrameCount)
     const std::uint64_t allocs = rig.db.bufferCache().mapAllocations();
     rig.sys.runFor(100 * tickPerMs);
     EXPECT_EQ(rig.db.bufferCache().mapAllocations(), allocs);
+}
+
+/**
+ * Database set-up allocates by the buffer-cache frame count (the same
+ * at every W under automatic sizing) and the rows a run touches, not
+ * by the warehouse count: a W=4096 database costs under 2 MB more
+ * heap to construct than a W=64 one. The part that does grow with W
+ * is the per-district counter vectors, about 0.9 MB at W=4096.
+ */
+TEST(ZeroAlloc, DatabaseSetupBytesDoNotScaleWithWarehouses)
+{
+#if !ODBSIM_TEST_COUNT_GLOBAL_NEW
+    GTEST_SKIP() << "global operator new is not replaced under ASan";
+#else
+    auto setupBytes = [](unsigned warehouses) {
+        os::System sys(test::miniSystemConfig(1));
+        db::DatabaseConfig cfg;
+        cfg.schema.warehouses = warehouses;
+        const std::uint64_t before =
+            g_newBytes.load(std::memory_order_relaxed);
+        const db::Database database(sys, cfg);
+        return g_newBytes.load(std::memory_order_relaxed) - before;
+    };
+    const std::uint64_t small = setupBytes(64);
+    const std::uint64_t large = setupBytes(4096);
+    EXPECT_GT(small, 0u);
+    EXPECT_LT(large, small + (std::uint64_t{2} << 20))
+        << "W=64 set-up: " << small << " bytes, W=4096: " << large;
+#endif
 }
 
 } // namespace
