@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <chrono>
+#include <utility>
 
 #include "analysis/iron_law.hh"
 #include "core/client_table.hh"
@@ -16,6 +17,7 @@ namespace odbsim::core
 RunResult
 ExperimentRunner::run(const OltpConfiguration &cfg, const RunKnobs &knobs)
 {
+    checkInputs(cfg, knobs);
     MachinePreset preset = makeMachine(
         cfg.machine, cfg.processors, knobs.samplePeriod, knobs.seed);
     preset.sys.topology = cfg.topology;
@@ -24,7 +26,20 @@ ExperimentRunner::run(const OltpConfiguration &cfg, const RunKnobs &knobs)
 }
 
 void
-ExperimentRunner::checkInputs(unsigned warehouses, const RunKnobs &knobs)
+ExperimentRunner::checkInputs(const OltpConfiguration &cfg,
+                              const RunKnobs &knobs)
+{
+    if (cfg.processors < 1 || cfg.processors > maxProcessors)
+        odbsim_fatal("a run needs 1 to ", maxProcessors,
+                     " processors, got ", cfg.processors);
+    checkInputs(makeMachine(cfg.machine, cfg.processors,
+                            knobs.samplePeriod, knobs.seed),
+                cfg.warehouses, knobs);
+}
+
+void
+ExperimentRunner::checkInputs(const MachinePreset &preset,
+                              unsigned warehouses, const RunKnobs &knobs)
 {
     if (warehouses == 0)
         odbsim_fatal("a run needs at least 1 warehouse, got 0");
@@ -32,6 +47,19 @@ ExperimentRunner::checkInputs(unsigned warehouses, const RunKnobs &knobs)
     if (k == 0 || k > db::maxShards || !std::has_single_bit(k))
         odbsim_fatal("RunKnobs::dbShards must be a power of two in [1, ",
                      db::maxShards, "], got ", k);
+    // The memory system keeps 1 of every S sets of each L2 and L3.
+    const std::uint32_t s = preset.sys.core.samplePeriod;
+    if (!std::has_single_bit(s))
+        odbsim_fatal("the sample period must be a power of two, got ", s);
+    const auto &hier = preset.sys.hierarchy;
+    for (const auto &[name, geom] :
+         {std::pair{"L2", hier.l2}, std::pair{"L3", hier.l3}}) {
+        const std::uint64_t sets = geom.numSets() / s;
+        if (sets < 2)
+            odbsim_fatal("sample period ", s, " leaves ", sets,
+                         " sets in the ", name, " of ", preset.name,
+                         "; it needs at least 2");
+    }
 }
 
 RunResult
@@ -40,7 +68,7 @@ ExperimentRunner::runWithPreset(const MachinePreset &preset,
                                 const RunKnobs &knobs,
                                 const os::PlacementConfig &placement)
 {
-    checkInputs(warehouses, knobs);
+    checkInputs(preset, warehouses, knobs);
     const auto wall_start = std::chrono::steady_clock::now();
 
     // Knob-level fault plan: copied into the machine description so

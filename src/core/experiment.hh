@@ -134,14 +134,27 @@ class ExperimentRunner
                                        {});
 
     /**
-     * @brief Stop with a one-line fatal message unless @p warehouses
-     * and @p knobs describe a point the engine can build: at least one
-     * warehouse, and RunKnobs::dbShards a power of two in
-     * [1, db::maxShards]. runWithPreset() (and so run()) and
-     * ScalingStudy::run call it on entry, so a bad value never reaches
-     * an engine assert.
+     * @brief Stop with a one-line fatal message unless run() can
+     * build @p cfg with @p knobs: cfg.processors in
+     * [1, maxProcessors], then every check of the preset overload on
+     * the machine makeMachine() builds for them. run() and
+     * ScalingStudy::run (for every grid point, before any worker
+     * starts) call it on entry, so a bad value never reaches an
+     * engine assert.
      */
-    static void checkInputs(unsigned warehouses, const RunKnobs &knobs);
+    static void checkInputs(const OltpConfiguration &cfg,
+                            const RunKnobs &knobs);
+
+    /**
+     * @brief Stop with a one-line fatal message unless @p warehouses
+     * and @p knobs can run on @p preset: at least one warehouse,
+     * RunKnobs::dbShards a power of two in [1, db::maxShards], and
+     * the preset's sample period a power of two that leaves at least
+     * 2 sets in its scaled L2 and L3. runWithPreset() calls it on
+     * entry.
+     */
+    static void checkInputs(const MachinePreset &preset,
+                            unsigned warehouses, const RunKnobs &knobs);
 };
 
 } // namespace odbsim::core

@@ -9,7 +9,7 @@ MachinePreset
 makeMachine(MachineKind kind, unsigned processors,
             std::uint32_t sample_period, std::uint64_t seed)
 {
-    odbsim_assert(processors >= 1 && processors <= 8,
+    odbsim_assert(processors >= 1 && processors <= maxProcessors,
                   "unsupported processor count ", processors);
 
     MachinePreset preset;

@@ -63,11 +63,15 @@ struct MachinePreset
     double cacheWarehouseEquivalents = 28.7;
 };
 
+/** Most processors a preset can enable. */
+constexpr unsigned maxProcessors = 8;
+
 /**
  * Build a machine preset.
  *
  * @param kind Which machine.
- * @param processors CPUs enabled (1..4 in the study).
+ * @param processors CPUs enabled, 1..maxProcessors (1, 2, 4 in the
+ *        study).
  * @param sample_period CPU-model trace sampling period.
  * @param seed Run seed.
  */

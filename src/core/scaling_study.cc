@@ -73,8 +73,15 @@ ScalingStudy::run(const StudyConfig &cfg)
 {
     odbsim_assert(!cfg.warehouses.empty() && !cfg.processors.empty(),
                   "empty study grid");
-    for (const unsigned w : cfg.warehouses)
-        ExperimentRunner::checkInputs(w, cfg.knobs);
+    for (const unsigned p : cfg.processors) {
+        for (const unsigned w : cfg.warehouses) {
+            OltpConfiguration point;
+            point.warehouses = w;
+            point.processors = p;
+            point.machine = cfg.machine;
+            ExperimentRunner::checkInputs(point, cfg.knobs);
+        }
+    }
 
     const std::size_t nw = cfg.warehouses.size();
     const std::size_t total = cfg.processors.size() * nw;

@@ -16,14 +16,54 @@ constexpr Addr lineBytes = 64;
 
 } // namespace
 
+std::uint64_t
+skewedLineIndex(double u, double exp, std::uint64_t lines)
+{
+    // Why the fast paths give pow's index bit for bit:
+    //  - exp 1.0: IEEE 754 pow(u, 1.0) is exactly u.
+    //  - exp 3.0 and 1.5: let x = u^exp exactly and n = lines (exact in
+    //    a double). `approx` = fl(fl(fl(u*u)*u)*n), or fl(fl(u*fl(sqrt
+    //    u))*n) with sqrt correctly rounded, takes three roundings of
+    //    at most 2^-53 each, so |approx - x*n| < 2^-51 * x*n (only
+    //    values below 1, which truncate to 0 either way, can come near
+    //    the subnormal range). pow's result for a libm with relative
+    //    error below 2^-42, times n and rounded, is within about
+    //    2^-42 * x*n of x*n. The two values are then less than
+    //    approx * 2^-40 apart. When approx is farther than that from
+    //    every integer, no integer lies between them, both truncate to
+    //    the same index, and the clamp to lines - 1 treats them alike.
+    //    Otherwise we ask pow. The guard decides exactly: with
+    //    i = trunc(approx), approx - i is exact (Sterbenz, or i == 0);
+    //    1 - frac is exact for frac >= 0.5 and at least 0.5 otherwise,
+    //    and a margin of 0.5 or more always falls back. glibc's pow is
+    //    within 1 ulp (2^-52), far inside the margin.
+    //  - Other exponents call std::pow.
+    const double n = static_cast<double>(lines);
+    double scaled;
+    if (exp == 1.0) {
+        scaled = u * n;
+    } else if (exp == 3.0 || exp == 1.5) {
+        const double approx =
+            (exp == 3.0 ? u * u * u : u * std::sqrt(u)) * n;
+        const double frac =
+            approx - static_cast<double>(static_cast<std::uint64_t>(approx));
+        const double margin = approx * 0x1p-40;
+        scaled = frac > margin && 1.0 - frac > margin
+                     ? approx
+                     : std::pow(u, exp) * n;
+    } else {
+        scaled = std::pow(u, exp) * n;
+    }
+    const auto idx = static_cast<std::uint64_t>(scaled);
+    return idx < lines ? idx : lines - 1;
+}
+
 CpuCore::CpuCore(unsigned id, const CoreConfig &cfg,
                  mem::MemorySystem &memsys, std::uint64_t seed,
                  unsigned mem_cpu_id)
     : id_(id), memId_(mem_cpu_id == ~0u ? id : mem_cpu_id), cfg_(cfg),
       clock_(cfg.freqHz), memsys_(memsys),
-      rng_(seed ^ (0x9e3779b97f4a7c15ULL * (id + 1))),
-      codeLinear_(cfg.codeHotExponent == 1.0),
-      dataLinear_(cfg.dataHotExponent == 1.0)
+      rng_(seed ^ (0x9e3779b97f4a7c15ULL * (id + 1)))
 {
     odbsim_assert(cfg.samplePeriod == memsys.sampleFactor(),
                   "core samplePeriod (", cfg.samplePeriod,
@@ -38,7 +78,6 @@ CpuCore::makeStream(Addr base, std::uint64_t bytes, std::uint64_t stride)
 {
     RegionStream s;
     s.lines = std::max<std::uint64_t>(1, bytes / stride);
-    s.linesD = static_cast<double>(s.lines);
     // Align the region base itself to the sampled-line grid so reuse
     // across work items of the same region is exact.
     s.alignedBase = base / stride * stride;
@@ -46,18 +85,13 @@ CpuCore::makeStream(Addr base, std::uint64_t bytes, std::uint64_t stride)
 }
 
 Addr
-CpuCore::sampleStream(const RegionStream &s, double exp, bool linear,
+CpuCore::sampleStream(const RegionStream &s, double exp,
                       std::uint64_t stride)
 {
     // Pick among the region's *sampled* lines (every S-th line) with a
-    // power-law concentration toward the region start. pow(u, 1.0) is
-    // exactly u in IEEE arithmetic, so the linear path is bit-exact.
-    const double u = rng_.uniform();
-    const double skewed = linear ? u : std::pow(u, exp);
-    std::uint64_t idx = static_cast<std::uint64_t>(skewed * s.linesD);
-    if (idx >= s.lines)
-        idx = s.lines - 1;
-    return s.alignedBase + idx * stride;
+    // power-law concentration toward the region start.
+    return s.alignedBase +
+           skewedLineIndex(rng_.uniform(), exp, s.lines) * stride;
 }
 
 double
@@ -125,8 +159,8 @@ CpuCore::execute(const WorkItem &item, Tick now, double cycle_scale)
             item.codeBase, std::max<std::uint64_t>(item.codeBytes, stride),
             stride);
         for (std::uint64_t i = 0; i < n_code; ++i) {
-            const Addr addr = sampleStream(code, cfg_.codeHotExponent,
-                                           codeLinear_, stride);
+            const Addr addr =
+                sampleStream(code, cfg_.codeHotExponent, stride);
             const mem::AccessResult res =
                 accessRef(addr, mem::AccessKind::CodeFetch);
             cycles += stallCyclesFor(res, true) * k;
@@ -160,16 +194,14 @@ CpuCore::execute(const WorkItem &item, Tick now, double cycle_scale)
             Addr addr;
             bool write;
             if ((pick -= wp) < 0.0) {
-                addr = sampleStream(priv, cfg_.dataHotExponent,
-                                    dataLinear_, stride);
+                addr = sampleStream(priv, cfg_.dataHotExponent, stride);
                 write = rng_.chance(cfg_.privateWriteFraction);
             } else if ((pick -= ws) < 0.0) {
-                addr = sampleStream(shared, cfg_.dataHotExponent,
-                                    dataLinear_, stride);
+                addr = sampleStream(shared, cfg_.dataHotExponent, stride);
                 write = rng_.chance(0.10);
             } else {
                 // The frame stream's exponent is 1.0: pure identity.
-                addr = sampleStream(frame, 1.0, true, stride);
+                addr = sampleStream(frame, 1.0, stride);
                 write = rng_.chance(cfg_.frameWriteFraction);
             }
             const mem::AccessResult res =

@@ -53,6 +53,15 @@ struct CoreConfig
     StallCosts costs;
 };
 
+/**
+ * Index of a hot-skewed pick among @p lines sampled lines, for a
+ * uniform draw @p u in [0, 1): exactly
+ * `min(lines - 1, uint64(std::pow(u, exp) * lines))`, but without
+ * calling std::pow for the presets' exponents 1.0, 1.5 and 3.0 except
+ * where the result could depend on pow's last bits (see core.cc).
+ */
+std::uint64_t skewedLineIndex(double u, double exp, std::uint64_t lines);
+
 /** Result of executing one WorkItem. */
 struct ExecResult
 {
@@ -113,15 +122,13 @@ class CpuCore
     {
         Addr alignedBase = 0;
         std::uint64_t lines = 1;
-        double linesD = 1.0;
     };
 
     static RegionStream makeStream(Addr base, std::uint64_t bytes,
                                    std::uint64_t stride);
-    /** A sampled-line address within the stream, hot-skewed by @p exp.
-     *  @p linear short-circuits pow() when exp == 1.0 (bit-exact:
-     *  IEEE pow(u, 1.0) == u). */
-    Addr sampleStream(const RegionStream &s, double exp, bool linear,
+    /** A sampled-line address within the stream, hot-skewed by @p exp
+     *  (skewedLineIndex()). */
+    Addr sampleStream(const RegionStream &s, double exp,
                       std::uint64_t stride);
 
     double stallCyclesFor(const mem::AccessResult &res, bool is_code) const;
@@ -137,10 +144,6 @@ class CpuCore
     /** Fractional-sample carries to avoid rounding bias. */
     double dataCarry_ = 0.0;
     double codeCarry_ = 0.0;
-
-    /** Config-derived pow() bypass flags (exponent == 1.0 exactly). */
-    bool codeLinear_ = false;
-    bool dataLinear_ = false;
 };
 
 } // namespace odbsim::cpu

@@ -1,8 +1,8 @@
 /**
  * @file
- * A set-associative cache model with true-LRU replacement and dirty-line
- * tracking, used for every level of the simulated hierarchy (trace
- * cache, L1D, L2, L3).
+ * A set-associative cache model with exact LRU replacement and
+ * dirty-line tracking, used for the TLB and the scaled L2/L3 tag
+ * stores of the simulated hierarchy.
  *
  * The model is a tag store only — no data is held — because odbsim
  * needs hit/miss/writeback behaviour, not values.
@@ -51,15 +51,24 @@ struct CacheAccessResult
 };
 
 /**
- * Tag-store set-associative cache with true LRU.
+ * Tag-store set-associative cache with exact LRU.
+ *
+ * Each set keeps its tags contiguous, a valid and a dirty bit per way,
+ * and its recency order: the way numbers, most recently used first,
+ * packed four bits each into one 64-bit word. So a set holds at most
+ * maxAssoc ways.
  */
 class SetAssocCache
 {
   public:
+    /** Widest set the packed recency order can hold. */
+    static constexpr std::uint32_t maxAssoc = 16;
+
     /**
      * @param name Label used in statistics reporting.
      * @param geom Capacity/associativity/line-size shape; sizeBytes
-     *        and assoc must be non-zero and consistent.
+     *        and assoc must be non-zero and consistent, assoc at most
+     *        maxAssoc, and the line and set counts powers of two.
      */
     SetAssocCache(std::string name, const CacheGeometry &geom);
 
@@ -115,39 +124,46 @@ class SetAssocCache
 
   private:
     /**
-     * One tag-store entry, packed to 16 bytes: the tag shares a word
-     * with the valid/dirty flags (the tag is addr / lineBytes /
-     * numSets, so its top two bits are always free for realistic
-     * address spaces), halving the per-line footprint versus the
-     * naive {tag, clock, bool, bool} layout and keeping twice as many
-     * sets per hardware cache line during the victim scan.
+     * Replacement state of one set. `order` holds the way numbers
+     * most recently used first (bits 0-3 name the MRU way). Only
+     * access() reorders it, moving the way it hits or fills to the
+     * front, so it ranks the valid ways by their last access; where
+     * an invalid way sits in it does not matter. It starts as the
+     * identity: with fewer than 16 ways, the numbers past the last
+     * way are never searched for or moved.
      */
-    struct Line
+    struct SetState
     {
-        static constexpr std::uint64_t validBit = 1;
-        static constexpr std::uint64_t dirtyBit = 2;
-        static constexpr unsigned tagShift = 2;
-
-        /** tag << tagShift | dirtyBit? | validBit? */
-        std::uint64_t meta = 0;
-        /** True-LRU clock stamp of the last touch. */
-        std::uint64_t lastUse = 0;
-
-        bool valid() const { return meta & validBit; }
-        bool dirty() const { return meta & dirtyBit; }
-        Addr tag() const { return meta >> tagShift; }
+        std::uint64_t order = 0xfedcba9876543210ULL;
+        /** Bit w: way w holds a line. */
+        std::uint32_t valid = 0;
+        /** Bit w: way w's line is dirty (only meaningful if valid). */
+        std::uint32_t dirty = 0;
     };
-    static_assert(sizeof(Line) == 16, "tag-store entry must stay packed");
 
-    std::uint64_t setIndex(Addr addr) const;
-    Addr tagOf(Addr addr) const;
-    Addr lineAddr(Addr tag, std::uint64_t set) const;
+    std::uint64_t
+    setIndex(Addr addr) const
+    {
+        return (addr >> lineShift_) & setMask_;
+    }
+    Addr tagOf(Addr addr) const { return addr >> tagShift_; }
+    /** Bit w set iff way w of @p set is valid and holds @p tag. */
+    std::uint32_t matchMask(std::uint64_t set, Addr tag) const;
 
     std::string name_;
     CacheGeometry geom_;
-    std::uint64_t numSets_;
-    std::vector<Line> lines_;
-    std::uint64_t useClock_ = 0;
+    /** log2(lineBytes). */
+    unsigned lineShift_;
+    /** log2(lineBytes * numSets): a tag is the address above it. */
+    unsigned tagShift_;
+    std::uint64_t setMask_;
+    /** Way mask of a full set. */
+    std::uint32_t allWays_;
+    /** Bit offset of the LRU way's number in SetState::order. */
+    unsigned lruShift_;
+    /** numSets * assoc tags, one set's ways contiguous. */
+    std::vector<Addr> tags_;
+    std::vector<SetState> sets_;
     std::uint64_t valid_ = 0;
 
     std::uint64_t accesses_ = 0;

@@ -20,12 +20,6 @@ splitmix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -36,29 +30,6 @@ Rng::Rng(std::uint64_t seed)
     // Derive the per-stream NURand C constant from the seed, as TPC-C
     // derives it per run.
     nurandC_ = splitmix64(x) % 1024;
-}
-
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-
-    return result;
-}
-
-double
-Rng::uniform()
-{
-    // 53 random mantissa bits -> uniform in [0, 1).
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
 double
@@ -83,12 +54,6 @@ Rng::range(std::int64_t lo, std::int64_t hi)
     odbsim_assert(hi >= lo, "Rng::range needs hi >= lo");
     return lo + static_cast<std::int64_t>(
                     below(static_cast<std::uint64_t>(hi - lo + 1)));
-}
-
-bool
-Rng::chance(double p)
-{
-    return uniform() < p;
 }
 
 double

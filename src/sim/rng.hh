@@ -11,13 +11,19 @@
 #ifndef ODBSIM_SIM_RNG_HH
 #define ODBSIM_SIM_RNG_HH
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
 namespace odbsim
 {
 
-/** Deterministic pseudo-random number generator (xoshiro256**). */
+/**
+ * Deterministic pseudo-random number generator (xoshiro256**).
+ *
+ * next(), uniform() and chance() are defined inline below: they run
+ * once or twice per simulated cache reference.
+ */
 class Rng
 {
   public:
@@ -64,6 +70,35 @@ class Rng
     double spareNormal_ = 0.0;
     std::uint64_t nurandC_;
 };
+
+inline std::uint64_t
+Rng::next()
+{
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+
+    return result;
+}
+
+inline double
+Rng::uniform()
+{
+    // 53 random mantissa bits -> uniform in [0, 1).
+    return static_cast<double>(next() >> 11) * 0x1.0p-53;
+}
+
+inline bool
+Rng::chance(double p)
+{
+    return uniform() < p;
+}
 
 /**
  * Zipf-distributed integer sampler over [0, n) with exponent theta.

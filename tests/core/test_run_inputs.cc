@@ -1,10 +1,13 @@
 /**
  * @file
  * Input checks at the core API boundary: a run or study with zero
- * warehouses or a RunKnobs::dbShards that is not a power of two in
- * [1, db::maxShards] stops with a one-line fatal message (exit code 1)
- * on entry, instead of tripping an engine assert (abort) deep inside
- * the schema, buffer cache or lock manager.
+ * warehouses, a RunKnobs::dbShards that is not a power of two in
+ * [1, db::maxShards], a processor count outside [1, maxProcessors],
+ * or a sample period that is not a power of two leaving at least 2
+ * sets in every scaled L2 and L3 stops with a one-line fatal message
+ * (exit code 1) on entry, instead of tripping an engine assert
+ * (abort) deep inside the machine presets, memory hierarchy, schema,
+ * buffer cache or lock manager.
  */
 
 #include <gtest/gtest.h>
@@ -35,12 +38,20 @@ fastKnobs(unsigned shards = 1)
 }
 
 OltpConfiguration
-point(unsigned warehouses)
+point(unsigned warehouses, unsigned processors = 1)
 {
     OltpConfiguration cfg;
     cfg.warehouses = warehouses;
-    cfg.processors = 1;
+    cfg.processors = processors;
     return cfg;
+}
+
+RunKnobs
+sampledKnobs(std::uint32_t sample_period)
+{
+    RunKnobs k = fastKnobs();
+    k.samplePeriod = sample_period;
+    return k;
 }
 
 /**
@@ -101,6 +112,72 @@ TEST(RunInputsDeathTest, StudyRejectsBadShardCountBeforeAnyPoint)
     cfg.jobs = 2;
     EXPECT_EXIT(ScalingStudy::run(cfg), testing::ExitedWithCode(1),
                 "fatal: RunKnobs::dbShards must be a power of two");
+}
+
+TEST(RunInputsDeathTest, RunRejectsBadProcessorCounts)
+{
+    for (const unsigned p : {0u, 9u}) {
+        SCOPED_TRACE(p);
+        EXPECT_EXIT(ExperimentRunner::run(point(10, p), fastKnobs()),
+                    testing::ExitedWithCode(1),
+                    "fatal: a run needs 1 to 8 processors, got " +
+                        std::to_string(p));
+    }
+}
+
+TEST(RunInputsDeathTest, RunRejectsSamplePeriodsThatAreNotPowersOfTwo)
+{
+    for (const std::uint32_t s : {0u, 3u}) {
+        SCOPED_TRACE(s);
+        EXPECT_EXIT(ExperimentRunner::run(point(10), sampledKnobs(s)),
+                    testing::ExitedWithCode(1),
+                    "fatal: the sample period must be a power of two, "
+                    "got " + std::to_string(s));
+    }
+}
+
+TEST(RunInputsDeathTest, RunRejectsSamplePeriodsThatLeaveTooFewSets)
+{
+    // Every preset's 256 KB 8-way L2 has 512 sets, so 256 is the
+    // largest period that leaves 2.
+    for (const std::uint32_t s : {512u, 1024u}) {
+        SCOPED_TRACE(s);
+        EXPECT_EXIT(ExperimentRunner::run(point(10), sampledKnobs(s)),
+                    testing::ExitedWithCode(1),
+                    "fatal: sample period " + std::to_string(s) +
+                        " leaves [01] sets in the L2 of xeon-quad-mp; it "
+                        "needs at least 2");
+    }
+}
+
+TEST(RunInputsDeathTest, RunWithPresetRejectsTheSamplePeriodOfItsPreset)
+{
+    for (const std::uint32_t s : {3u, 512u}) {
+        SCOPED_TRACE(s);
+        const MachinePreset preset =
+            makeMachine(MachineKind::XeonQuadMp, 1, s, 42);
+        EXPECT_EXIT(
+            ExperimentRunner::runWithPreset(preset, 10, 0, fastKnobs()),
+            testing::ExitedWithCode(1), "fatal: .*sample period");
+    }
+}
+
+TEST(RunInputsDeathTest, StudyRejectsBadProcessorCountBeforeAnyPoint)
+{
+    StudyConfig cfg = tripwireStudy({10});
+    cfg.processors = {1, 16};
+    cfg.jobs = 2;
+    EXPECT_EXIT(ScalingStudy::run(cfg), testing::ExitedWithCode(1),
+                "fatal: a run needs 1 to 8 processors, got 16");
+}
+
+TEST(RunInputsDeathTest, StudyRejectsBadSamplePeriodBeforeAnyPoint)
+{
+    StudyConfig cfg = tripwireStudy({10});
+    cfg.knobs.samplePeriod = 1024;
+    cfg.jobs = 2;
+    EXPECT_EXIT(ScalingStudy::run(cfg), testing::ExitedWithCode(1),
+                "fatal: sample period 1024 leaves 0 sets");
 }
 
 } // namespace

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include "cpu/core.hh"
 
 namespace
@@ -226,6 +230,71 @@ TEST(CpuCore, MismatchedSampleFactorPanics)
     mem::MemorySystem ms(1, smallHier(), quietBus(), 8);
     CoreConfig cfg = baseCfg(); // samplePeriod 16 != 8.
     EXPECT_DEATH({ CpuCore core(0, cfg, ms, 1); }, "must match");
+}
+
+/** The index sampleStream used to take: std::pow, truncate, clamp. */
+std::uint64_t
+powLineIndex(double u, double exp, std::uint64_t lines)
+{
+    const auto idx = static_cast<std::uint64_t>(
+        std::pow(u, exp) * static_cast<double>(lines));
+    return std::min(lines - 1, idx);
+}
+
+/**
+ * Draws u on uniform()'s 2^-53 grid nearest (k / lines)^(1 / exp),
+ * and their +-4 neighbours: pow(u, exp) * lines lands within a few
+ * ulps of the integer k, inside the margin where the guard must fall
+ * back to pow.
+ */
+std::vector<double>
+nearIntegerInputs(double exp, std::uint64_t lines)
+{
+    constexpr double ulp = 0x1p-53;
+    std::vector<double> us;
+    const std::uint64_t step = std::max<std::uint64_t>(1, lines / 4096);
+    for (std::uint64_t k = 1; k < lines; k += step) {
+        const double root = std::pow(static_cast<double>(k) /
+                                         static_cast<double>(lines),
+                                     1.0 / exp);
+        const double m = std::round(root / ulp);
+        for (int d = -4; d <= 4; ++d)
+            us.push_back(std::min((m + d) * ulp, 1.0 - ulp));
+    }
+    return us;
+}
+
+TEST(CpuCore, SkewedLineIndexEqualsThePowIndex)
+{
+    std::vector<double> draws = {0.0, 1.0 - 0x1p-53};
+    Rng rng(99);
+    for (int i = 0; i < 1'000'000; ++i)
+        draws.push_back(rng.uniform());
+    for (const double exp : {1.0, 1.5, 3.0, 2.5}) {
+        for (const std::uint64_t lines :
+             {1ull, 8ull, 64ull, 256ull, 1536ull, 2048ull,
+              (1ull << 20) + 7}) {
+            SCOPED_TRACE(testing::Message()
+                         << "exp " << exp << " lines " << lines);
+            for (const double u : draws) {
+                ASSERT_EQ(skewedLineIndex(u, exp, lines),
+                          powLineIndex(u, exp, lines))
+                    << "u = " << std::hexfloat << u;
+            }
+            std::uint64_t in_margin = 0;
+            for (const double u : nearIntegerInputs(exp, lines)) {
+                ASSERT_EQ(skewedLineIndex(u, exp, lines),
+                          powLineIndex(u, exp, lines))
+                    << "u = " << std::hexfloat << u;
+                const double x =
+                    std::pow(u, exp) * static_cast<double>(lines);
+                in_margin += std::abs(x - std::round(x)) <= x * 0x1p-40;
+            }
+            if (lines > 1) {
+                EXPECT_GT(in_margin, 0u);
+            }
+        }
+    }
 }
 
 /** Property: cycles scale linearly with instruction count. */

@@ -1,12 +1,16 @@
 /**
  * @file
  * Unit and property tests for the set-associative tag store: hits,
- * LRU eviction, dirty writebacks, invalidation.
+ * LRU eviction, dirty writebacks, invalidation, and a differential
+ * test against per-line LRU clocks.
  */
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "mem/cache.hh"
+#include "sim/rng.hh"
 
 namespace
 {
@@ -190,5 +194,168 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(65536u, 8u),
                       std::make_tuple(262144u, 8u),
                       std::make_tuple(1048576u, 16u)));
+
+/**
+ * The oracle: a tag store that stamps each line with a global access
+ * clock and evicts "the last invalid way, else the minimum stamp".
+ * SetAssocCache's recency list must pick the same victims.
+ */
+struct ClockLru
+{
+    struct Line
+    {
+        Addr tag = 0;
+        std::uint64_t lastUse = 0;
+        bool valid = false;
+        bool dirty = false;
+    };
+
+    explicit ClockLru(const CacheGeometry &g)
+        : g(g), sets(g.numSets()), lines(sets * g.assoc)
+    {}
+
+    Addr tagOf(Addr a) const { return a / g.lineBytes / sets; }
+    Line *
+    set(Addr a)
+    {
+        return &lines[a / g.lineBytes % sets * g.assoc];
+    }
+
+    Line *
+    find(Addr a)
+    {
+        for (Line *l = set(a); l != set(a) + g.assoc; ++l) {
+            if (l->valid && l->tag == tagOf(a))
+                return l;
+        }
+        return nullptr;
+    }
+
+    CacheAccessResult
+    access(Addr a, bool is_write)
+    {
+        ++accesses;
+        ++clock;
+        if (Line *l = find(a)) {
+            l->lastUse = clock;
+            l->dirty |= is_write;
+            return CacheAccessResult{true, false, false, 0};
+        }
+        ++misses;
+        Line *victim = set(a);
+        for (Line *l = set(a); l != set(a) + g.assoc; ++l) {
+            if (!l->valid)
+                victim = l;
+            else if (victim->valid && l->lastUse < victim->lastUse)
+                victim = l;
+        }
+        CacheAccessResult res;
+        if (victim->valid) {
+            res.evicted = true;
+            res.evictedDirty = victim->dirty;
+            res.evictedLineAddr =
+                (victim->tag * sets + a / g.lineBytes % sets) * g.lineBytes;
+            writebacks += victim->dirty;
+        } else {
+            ++validLines;
+        }
+        *victim = Line{tagOf(a), clock, true, is_write};
+        return res;
+    }
+
+    bool
+    invalidate(Addr a)
+    {
+        Line *l = find(a);
+        if (!l)
+            return false;
+        l->valid = false;
+        --validLines;
+        return l->dirty;
+    }
+
+    void
+    flush()
+    {
+        for (auto &l : lines)
+            l.valid = false;
+        validLines = 0;
+    }
+
+    CacheGeometry g;
+    std::uint64_t sets;
+    std::vector<Line> lines;
+    std::uint64_t clock = 0;
+    std::uint64_t validLines = 0, accesses = 0, misses = 0, writebacks = 0;
+};
+
+/** Ways per set; each case runs footprints of 0.5x, 1x and 4x capacity. */
+class RecencyListMatchesClockLru : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P(RecencyListMatchesClockLru, SameResultsOnSeededStreams)
+{
+    const std::uint32_t ways = GetParam();
+    const CacheGeometry g{16ull * ways * 64, ways, 64};
+    for (const double footprint : {0.5, 1.0, 4.0}) {
+        SCOPED_TRACE(footprint);
+        SetAssocCache cache("t", g);
+        ClockLru oracle(g);
+        Rng rng(ways * 1000 + static_cast<unsigned>(footprint * 10));
+        // Lines scattered over 2^24 line slots (so sets fill unevenly)
+        // at high addresses (the tag and victim-address paths).
+        std::vector<Addr> pool(static_cast<std::size_t>(
+            footprint * static_cast<double>(g.numLines())));
+        for (auto &a : pool)
+            a = 0x7f12'0000'0000ull + rng.below(1u << 24) * g.lineBytes;
+        for (int op = 0; op < 200'000; ++op) {
+            const Addr addr = pool[rng.below(pool.size())] + rng.below(64);
+            const double pick = rng.uniform();
+            if (pick < 0.45 || pick >= 0.9999) {
+                if (pick >= 0.9999) {
+                    cache.flush();
+                    oracle.flush();
+                }
+                const bool write = rng.chance(0.3);
+                const CacheAccessResult got = cache.access(addr, write);
+                const CacheAccessResult want = oracle.access(addr, write);
+                ASSERT_EQ(got.hit, want.hit) << "op " << op;
+                ASSERT_EQ(got.evicted, want.evicted) << "op " << op;
+                ASSERT_EQ(got.evictedDirty, want.evictedDirty) << "op " << op;
+                ASSERT_EQ(got.evictedLineAddr, want.evictedLineAddr)
+                    << "op " << op;
+            } else if (pick < 0.6) {
+                ASSERT_EQ(cache.invalidate(addr), oracle.invalidate(addr))
+                    << "op " << op;
+            } else if (pick < 0.8) {
+                ASSERT_EQ(cache.probe(addr), oracle.find(addr) != nullptr)
+                    << "op " << op;
+            } else {
+                const ClockLru::Line *line = oracle.find(addr);
+                ASSERT_EQ(cache.probeDirty(addr), line && line->dirty)
+                    << "op " << op;
+            }
+        }
+        EXPECT_EQ(cache.validLines(), oracle.validLines);
+        EXPECT_EQ(cache.accesses(), oracle.accesses);
+        EXPECT_EQ(cache.misses(), oracle.misses);
+        EXPECT_EQ(cache.writebacks(), oracle.writebacks);
+        if (footprint > 1.0) {
+            EXPECT_GT(cache.writebacks(), 0u);
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Ways, RecencyListMatchesClockLru,
+                         ::testing::Values(1u, 2u, 4u, 8u, 12u, 16u));
+
+TEST(SetAssocCacheDeathTest, RejectsMoreWaysThanTheRecencyListHolds)
+{
+    const std::uint32_t ways = SetAssocCache::maxAssoc + 1;
+    EXPECT_DEATH(SetAssocCache("wide-l3", CacheGeometry{2ull * ways * 64,
+                                                          ways, 64}),
+                 "wide-l3 has 17 ways; a tag store holds at most 16");
+}
 
 } // namespace
