@@ -2,6 +2,8 @@
 
 #include <bit>
 #include <chrono>
+#include <cmath>
+#include <limits>
 #include <utility>
 
 #include "analysis/iron_law.hh"
@@ -43,6 +45,21 @@ ExperimentRunner::checkInputs(const MachinePreset &preset,
 {
     if (warehouses == 0)
         odbsim_fatal("a run needs at least 1 warehouse, got 0");
+    if (knobs.measure == 0)
+        odbsim_fatal("RunKnobs::measure must be positive, got 0");
+    const double per_w = knobs.warmupPerWarehouseMs;
+    if (!std::isfinite(per_w) || per_w < 0.0)
+        odbsim_fatal("RunKnobs::warmupPerWarehouseMs must be finite and "
+                     "at least 0, got ", per_w);
+    // runWithPreset warms up for warmup + ticksFromMs(W x per_w); the
+    // first test keeps that conversion's double-to-Tick cast defined.
+    const double extra_ms = static_cast<double>(warehouses) * per_w;
+    if (extra_ms * static_cast<double>(tickPerMs) >= 0x1p64 ||
+        ticksFromMs(extra_ms) >
+            std::numeric_limits<Tick>::max() - knobs.warmup)
+        odbsim_fatal("the warm-up of RunKnobs::warmup plus ", warehouses,
+                     " x warmupPerWarehouseMs = ", per_w,
+                     " ms does not fit in a Tick");
     const unsigned k = knobs.dbShards;
     if (k == 0 || k > db::maxShards || !std::has_single_bit(k))
         odbsim_fatal("RunKnobs::dbShards must be a power of two in [1, ",

@@ -147,7 +147,10 @@ class ExperimentRunner
 
     /**
      * @brief Stop with a one-line fatal message unless @p warehouses
-     * and @p knobs can run on @p preset: at least one warehouse,
+     * and @p knobs can run on @p preset: at least one warehouse, a
+     * positive RunKnobs::measure, a finite, non-negative
+     * RunKnobs::warmupPerWarehouseMs whose warm-up (RunKnobs::warmup
+     * plus @p warehouses times it) fits in a Tick,
      * RunKnobs::dbShards a power of two in [1, db::maxShards], and
      * the preset's sample period a power of two that leaves at least
      * 2 sets in its scaled L2 and L3. runWithPreset() calls it on

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <optional>
 
 #include "sim/logging.hh"
@@ -13,6 +14,16 @@ namespace
 {
 
 constexpr Addr lineBytes = 64;
+
+/** One generated region-stream reference, buffered until simulated. */
+struct Ref
+{
+    Addr addr;
+    mem::AccessKind kind;
+};
+
+/** Region-stream references generated per batch (a 1 KB stack buffer). */
+constexpr std::size_t refBatch = 64;
 
 } // namespace
 
@@ -148,6 +159,24 @@ CpuCore::execute(const WorkItem &item, Tick now, double cycle_scale)
         return epoch->access(addr, kind);
     };
 
+    // Region-stream references are generated up to refBatch at a time
+    // into a stack buffer, then simulated in order, so the host runs
+    // the draws of a batch back to back instead of between hierarchy
+    // walks. This is exact: the generator draws only from rng_ and no
+    // draw depends on an access result, so filling the buffer first
+    // keeps the order of the RNG draws (pick, line index, write), and
+    // draining it in order keeps the order of the accesses and of the
+    // `cycles +=` sums. Generation never touches the memory system, so
+    // the epoch still opens at the first reference.
+    Ref batch[refBatch]; // written before read
+    const auto simulate = [&](std::size_t n, bool is_code) {
+        for (std::size_t j = 0; j < n; ++j) {
+            const mem::AccessResult res =
+                accessRef(batch[j].addr, batch[j].kind);
+            cycles += stallCyclesFor(res, is_code) * k;
+        }
+    };
+
     // Code stream: references reaching L2 after trace-cache misses.
     // The stream descriptor (alignment, line count) is invariant per
     // WorkItem and hoisted out of the reference loop.
@@ -158,12 +187,14 @@ CpuCore::execute(const WorkItem &item, Tick now, double cycle_scale)
         const RegionStream code = makeStream(
             item.codeBase, std::max<std::uint64_t>(item.codeBytes, stride),
             stride);
-        for (std::uint64_t i = 0; i < n_code; ++i) {
-            const Addr addr =
-                sampleStream(code, cfg_.codeHotExponent, stride);
-            const mem::AccessResult res =
-                accessRef(addr, mem::AccessKind::CodeFetch);
-            cycles += stallCyclesFor(res, true) * k;
+        while (n_code) {
+            const std::size_t n = static_cast<std::size_t>(
+                std::min<std::uint64_t>(n_code, refBatch));
+            for (std::size_t j = 0; j < n; ++j)
+                batch[j] = {sampleStream(code, cfg_.codeHotExponent, stride),
+                            mem::AccessKind::CodeFetch};
+            simulate(n, true);
+            n_code -= n;
         }
     }
 
@@ -189,25 +220,30 @@ CpuCore::execute(const WorkItem &item, Tick now, double cycle_scale)
         const RegionStream frame = makeStream(
             item.frameAddr,
             std::max<std::uint32_t>(item.frameBytes, lineBytes), stride);
-        for (std::uint64_t i = 0; i < n_data; ++i) {
-            double pick = rng_.uniform() * total_weight;
-            Addr addr;
-            bool write;
-            if ((pick -= wp) < 0.0) {
-                addr = sampleStream(priv, cfg_.dataHotExponent, stride);
-                write = rng_.chance(cfg_.privateWriteFraction);
-            } else if ((pick -= ws) < 0.0) {
-                addr = sampleStream(shared, cfg_.dataHotExponent, stride);
-                write = rng_.chance(0.10);
-            } else {
-                // The frame stream's exponent is 1.0: pure identity.
-                addr = sampleStream(frame, 1.0, stride);
-                write = rng_.chance(cfg_.frameWriteFraction);
+        while (n_data) {
+            const std::size_t n = static_cast<std::size_t>(
+                std::min<std::uint64_t>(n_data, refBatch));
+            for (std::size_t j = 0; j < n; ++j) {
+                double pick = rng_.uniform() * total_weight;
+                Addr addr;
+                bool write;
+                if ((pick -= wp) < 0.0) {
+                    addr = sampleStream(priv, cfg_.dataHotExponent, stride);
+                    write = rng_.chance(cfg_.privateWriteFraction);
+                } else if ((pick -= ws) < 0.0) {
+                    addr =
+                        sampleStream(shared, cfg_.dataHotExponent, stride);
+                    write = rng_.chance(0.10);
+                } else {
+                    // The frame stream's exponent is 1.0: pure identity.
+                    addr = sampleStream(frame, 1.0, stride);
+                    write = rng_.chance(cfg_.frameWriteFraction);
+                }
+                batch[j] = {addr, write ? mem::AccessKind::DataWrite
+                                        : mem::AccessKind::DataRead};
             }
-            const mem::AccessResult res =
-                accessRef(addr, write ? mem::AccessKind::DataWrite
-                                      : mem::AccessKind::DataRead);
-            cycles += stallCyclesFor(res, false) * k;
+            simulate(n, false);
+            n_data -= n;
         }
     }
 

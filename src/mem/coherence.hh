@@ -17,6 +17,10 @@
  * generation stamping. After warm-up the table performs zero heap
  * allocations — growth only happens while the tracked-line population
  * reaches a new high-water mark (observable via tableAllocations()).
+ * MemorySystem reserve()s four times the lines its caches can keep
+ * resident, so the load stays near 1/8: every L3 miss erases one
+ * entry and inserts another, and at higher loads those probe-cluster
+ * walks and backward shifts cost more than the larger table.
  */
 
 #ifndef ODBSIM_MEM_COHERENCE_HH
@@ -106,8 +110,9 @@ class CoherenceDirectory
     std::size_t trackedLines() const { return table_.size(); }
 
     /**
-     * Pre-size the table for @p lines tracked lines so the warm-up
-     * phase does not rehash. Never shrinks.
+     * Pre-size the table for @p lines tracked lines: no rehash until
+     * the population passes @p lines, and a load of at most 7/8 at
+     * it. Never shrinks.
      */
     void reserve(std::size_t lines);
 

@@ -145,11 +145,16 @@ MemorySystem::MemorySystem(unsigned num_cpus,
         dirs_.push_back(extraDirs_[s - 1].get());
     }
 
-    // Pre-size the directories for the lines the caches can keep
-    // resident so warm-up performs no rehash (perf hint only; the
-    // tables still grow on demand).
+    // Size each directory for short probe chains: reserve four times
+    // the lines the caches can keep resident, so the load is at most
+    // 7/32 at that bound (about 1/8 in steady state) and warm-up never
+    // rehashes. Every L3 miss erases its victim's entry and inserts the
+    // new line; at load 1/2 linear probing turns those into
+    // variable-length cluster walks and backward shifts whose
+    // mispredicted loop exits cost more host time than the bigger table
+    // does. The tables still grow on demand.
     for (CoherenceDirectory *d : dirs_)
-        d->reserve(num_cpus * (l3.numLines() + l2.numLines()));
+        d->reserve(4 * num_cpus * (l3.numLines() + l2.numLines()));
 }
 
 void

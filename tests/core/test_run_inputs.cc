@@ -7,12 +7,17 @@
  * sets in every scaled L2 and L3 stops with a one-line fatal message
  * (exit code 1) on entry, instead of tripping an engine assert
  * (abort) deep inside the machine presets, memory hierarchy, schema,
- * buffer cache or lock manager.
+ * buffer cache or lock manager. So does a warm-up or measurement
+ * window that would otherwise hang the run (a NaN per-warehouse
+ * warm-up), silently change it (a negative one wraps the unsigned
+ * warm-up; one past a Tick overflows) or measure nothing (a zero
+ * measure window).
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -178,6 +183,71 @@ TEST(RunInputsDeathTest, StudyRejectsBadSamplePeriodBeforeAnyPoint)
     cfg.jobs = 2;
     EXPECT_EXIT(ScalingStudy::run(cfg), testing::ExitedWithCode(1),
                 "fatal: sample period 1024 leaves 0 sets");
+}
+
+TEST(RunInputsDeathTest, RunRejectsAZeroMeasureWindow)
+{
+    RunKnobs k = fastKnobs();
+    k.measure = 0;
+    EXPECT_EXIT(ExperimentRunner::run(point(10), k),
+                testing::ExitedWithCode(1),
+                "fatal: RunKnobs::measure must be positive, got 0");
+}
+
+TEST(RunInputsDeathTest, RunRejectsNonFiniteOrNegativeWarmupPerWarehouse)
+{
+    const std::pair<double, const char *> cases[] = {
+        {std::numeric_limits<double>::quiet_NaN(), "-?nan"},
+        {std::numeric_limits<double>::infinity(), "inf"},
+        {-1.0, "-1"},
+    };
+    for (const auto &[ms, shown] : cases) {
+        SCOPED_TRACE(shown);
+        RunKnobs k = fastKnobs();
+        k.warmupPerWarehouseMs = ms;
+        EXPECT_EXIT(ExperimentRunner::run(point(10), k),
+                    testing::ExitedWithCode(1),
+                    std::string("fatal: RunKnobs::warmupPerWarehouseMs "
+                                "must be finite and at least 0, got ") +
+                        shown);
+    }
+}
+
+TEST(RunInputsDeathTest, RunRejectsAWarmupThatOverflowsATick)
+{
+    // 10 x 1e12 ms is past the cast's 2^64-tick range; 10 x 1 ms on
+    // top of an almost-full warmup wraps the sum.
+    RunKnobs past_cast = fastKnobs();
+    past_cast.warmupPerWarehouseMs = 1e12;
+    RunKnobs wraps = fastKnobs();
+    wraps.warmupPerWarehouseMs = 1.0;
+    wraps.warmup = std::numeric_limits<Tick>::max() - tickPerMs;
+    for (const RunKnobs &k : {past_cast, wraps}) {
+        EXPECT_EXIT(ExperimentRunner::run(point(10), k),
+                    testing::ExitedWithCode(1),
+                    "fatal: the warm-up of RunKnobs::warmup plus 10 x "
+                    "warmupPerWarehouseMs = .* ms does not fit in a Tick");
+    }
+}
+
+TEST(RunInputsDeathTest, RunWithPresetRejectsBadWindows)
+{
+    const MachinePreset preset =
+        makeMachine(MachineKind::XeonQuadMp, 1, 16, 42);
+    RunKnobs k = fastKnobs();
+    k.warmupPerWarehouseMs = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_EXIT(ExperimentRunner::runWithPreset(preset, 10, 0, k),
+                testing::ExitedWithCode(1),
+                "fatal: RunKnobs::warmupPerWarehouseMs");
+}
+
+TEST(RunInputsDeathTest, StudyRejectsAZeroMeasureWindowBeforeAnyPoint)
+{
+    StudyConfig cfg = tripwireStudy({10});
+    cfg.knobs.measure = 0;
+    cfg.jobs = 2;
+    EXPECT_EXIT(ScalingStudy::run(cfg), testing::ExitedWithCode(1),
+                "fatal: RunKnobs::measure must be positive");
 }
 
 } // namespace

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/machine.hh"
 #include "mem/hierarchy.hh"
 
 namespace
@@ -301,6 +302,51 @@ TEST(MemorySystem, SingleCpuDmaInvalidationStillWorks)
     EXPECT_TRUE(ms.access(0, sline(3), AccessKind::DataRead,
                           ExecMode::User, 0)
                     .l3Miss());
+}
+
+TEST(MemorySystem, DirectoriesAreSizedForShortProbeChains)
+{
+    // The rule: each directory reserves four times the lines the
+    // caches can keep resident, P x (scaled L2 + L3 lines), in the
+    // smallest power-of-two table whose 7/8 load limit admits that many
+    // entries, so its load at that population stays at or below 7/32.
+    // Filling it to the population never rehashes.
+    using core::MachineKind;
+    for (const MachineKind kind :
+         {MachineKind::XeonQuadMp, MachineKind::Itanium2Quad,
+          MachineKind::CmpQuad}) {
+        for (const unsigned p : {1u, 2u, 4u, 8u}) {
+            // CMP's one shared L3 cannot span two sockets.
+            const unsigned max_sockets =
+                kind == MachineKind::CmpQuad ? 1u : 2u;
+            for (unsigned sockets = 1; sockets <= max_sockets; ++sockets) {
+                SCOPED_TRACE(testing::Message()
+                             << core::toString(kind) << " P=" << p
+                             << " sockets=" << sockets);
+                const core::MachinePreset preset =
+                    core::makeMachine(kind, p, S, 42);
+                TopologyConfig topo = preset.sys.topology;
+                topo.sockets = sockets;
+                MemorySystem ms(p, preset.sys.hierarchy, preset.sys.bus,
+                                preset.sys.core.samplePeriod, topo);
+                const HierarchyConfig &h = preset.sys.hierarchy;
+                const std::uint64_t resident =
+                    p * (h.l2.numLines() + h.l3.numLines()) / S;
+                for (unsigned s = 0; s < sockets; ++s) {
+                    CoherenceDirectory &dir = ms.directoryAt(s);
+                    const std::uint64_t cap = dir.capacity();
+                    EXPECT_GE(cap * 7, 4 * resident * 8);
+                    EXPECT_LT(cap / 2 * 7, 4 * resident * 8);
+                    const std::uint64_t allocs = dir.tableAllocations();
+                    for (std::uint64_t n = 0; n < resident; ++n)
+                        dir.onFill(static_cast<unsigned>(n % p), sline(n),
+                                   false);
+                    EXPECT_EQ(dir.trackedLines(), resident);
+                    EXPECT_EQ(dir.tableAllocations(), allocs);
+                }
+            }
+        }
+    }
 }
 
 /** Parameterized: every power-of-two sample factor behaves sanely. */
