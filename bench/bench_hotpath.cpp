@@ -21,7 +21,6 @@
  * Usage: bench_hotpath [--out FILE]   (default: BENCH_hotpath.json)
  */
 
-#include <array>
 #include <bit>
 #include <chrono>
 #include <condition_variable>
@@ -848,196 +847,8 @@ eventChurn100xRate(EventQueueKind kind, std::uint64_t events,
     return static_cast<double>(events) / secs;
 }
 
-/** Host threads driving the sharded db structures concurrently. */
-constexpr unsigned kShardThreads = 4;
-
-/** Stripe mutex padded to two cache lines so adjacent stripes in the
- *  vector never false-share (an unpadded std::mutex is ~40 bytes, so
- *  a plain vector would pack two stripes into one line and the K=4
- *  "uncontended" case would still ping-pong the line). */
-struct alignas(128) Stripe
-{
-    std::mutex m;
-};
-
-/** The 4-shard owner of @p key (the fixed partition both the K=1 and
- *  K=4 runs stream the same per-thread key sets through). */
-unsigned
-shardOf4(std::uint64_t key)
-{
-    return static_cast<unsigned>((key * 0xff51afd7ed558ccdULL) >> 56) &
-           (kShardThreads - 1);
-}
-
-/**
- * Per-thread key pools for the sharded churn benches: thread t gets
- * @p per distinct keys that all live in shard t of a 4-shard manager.
- * Filtering a counter stream keeps the pools deterministic and
- * duplicate-free.
- */
-std::vector<std::vector<std::uint64_t>>
-shardKeyPools(std::size_t per)
-{
-    std::vector<std::vector<std::uint64_t>> pools(kShardThreads);
-    std::size_t filled = 0;
-    for (std::uint64_t k = 1; filled < kShardThreads; ++k) {
-        auto &pool = pools[shardOf4(k)];
-        if (pool.size() < per) {
-            pool.push_back(k);
-            if (pool.size() == per)
-                ++filled;
-        }
-    }
-    return pools;
-}
-
-/** Run @p worker(t) on kShardThreads host threads and join. */
-template <typename Fn>
-void
-onShardThreads(bool concurrent, Fn worker)
-{
-    if (!concurrent) {
-        for (unsigned t = 0; t < kShardThreads; ++t)
-            worker(t);
-        return;
-    }
-    std::vector<std::thread> threads;
-    threads.reserve(kShardThreads);
-    for (unsigned t = 0; t < kShardThreads; ++t)
-        threads.emplace_back([&worker, t] { worker(t); });
-    for (auto &th : threads)
-        th.join();
-}
-
-/**
- * Concurrent sharded lock churn: four host threads each stream
- * acquire/release rounds over their own key pool, taking the stripe
- * mutex of the key's shard around every operation — the access
- * discipline a concurrent host would use. With K=1 every operation
- * serializes on one stripe (the unsharded engine's global
- * serialization point); with K=4 thread t's keys live in shard t, so
- * stripes never contend and shards never share state. Each key's
- * whole lifecycle stays on its owner thread, so the digest is
- * independent of both K and the thread interleaving — the K=1 and K=4
- * digests must match exactly. Returns lock operations per second.
- */
-double
-lockShardChurnRate(unsigned shards, std::uint64_t rounds_per_thread,
-                   os::System &sys, std::uint64_t &digest)
-{
-    db::LockManager lm(shards);
-    static const auto pools = shardKeyPools(4096);
-    ParkedProcess p0("shard-bench-0"), p1("shard-bench-1"),
-        p2("shard-bench-2"), p3("shard-bench-3");
-    const std::array<os::Process *, kShardThreads> procs{&p0, &p1, &p2,
-                                                         &p3};
-    std::vector<Stripe> stripes(shards);
-    std::array<std::uint64_t, kShardThreads> sums{};
-
-    const auto t0 = std::chrono::steady_clock::now();
-    onShardThreads(true, [&](unsigned t) {
-        const auto &pool = pools[t];
-        os::Process *self = procs[t];
-        std::uint64_t sum = 0;
-        std::size_t idx = 0;
-        for (std::uint64_t r = 0; r < rounds_per_thread; ++r) {
-            for (unsigned j = 0; j < 8; ++j) {
-                const db::LockKey key = pool[idx + j];
-                std::lock_guard<std::mutex> g(stripes[lm.shardOf(key)].m);
-                sum += lm.acquire(self, key) + (key & 0xff);
-            }
-            for (unsigned j = 0; j < 8; ++j) {
-                const db::LockKey key = pool[idx + j];
-                std::lock_guard<std::mutex> g(stripes[lm.shardOf(key)].m);
-                lm.release(self, key, sys);
-            }
-            idx = (idx + 8) % pool.size();
-        }
-        sums[t] = sum;
-    });
-    const double secs = secondsSince(t0);
-
-    digest = lm.acquires() * 3 + lm.conflicts() * 7 + lm.heldCount();
-    for (unsigned t = 0; t < kShardThreads; ++t)
-        digest += sums[t];
-    return static_cast<double>(rounds_per_thread * kShardThreads * 16) /
-           secs;
-}
-
-/**
- * Concurrent sharded buffer churn: four host threads each stream the
- * replayTouch-shaped mix (probe, allocate + fillComplete on miss,
- * markDirty, markClean, metaAddr) over their own block pool under the
- * same stripe-mutex discipline as the lock bench. Thread t's blocks
- * live in shard t of a 4-shard cache, so at K=4 stripes never contend
- * and each shard's LRU evolves exactly as it would single-threaded:
- * disjoint shards commute, which the caller cross-checks by comparing
- * the concurrent digest against a serial replay of the same streams.
- * (At K=1 the four streams interleave in one LRU, so its digest is
- * timing-dependent and only the rate is meaningful.) Returns buffer
- * operations per second.
- */
-double
-bufferShardChurnRate(unsigned shards, std::uint64_t ops_per_thread,
-                     bool concurrent, std::uint64_t &digest)
-{
-    constexpr std::uint64_t kFrames = 65'536;
-    db::BufferCache bc(kFrames, shards);
-    // Fill every shard's frame share so the timed section starts at
-    // steady-state residency (prefill no-ops once a shard is full).
-    for (std::uint64_t b = 0; b < 4 * kFrames; ++b)
-        bc.prefill(b, (b & 3) == 0);
-    static const auto pools = shardKeyPools(65'536);
-    std::vector<Stripe> stripes(shards);
-    std::array<std::uint64_t, kShardThreads> sums{};
-
-    const auto t0 = std::chrono::steady_clock::now();
-    onShardThreads(concurrent, [&](unsigned t) {
-        const auto &pool = pools[t];
-        Rng rng(101 + t);
-        std::uint64_t sum = 0;
-        for (std::uint64_t i = 0; i < ops_per_thread; ++i) {
-            const db::BlockId b = pool[rng.below(pool.size())];
-            std::lock_guard<std::mutex> g(stripes[bc.shardOf(b)].m);
-            switch (rng.below(8)) {
-              default: {
-                sum += bc.metaAddr(b);
-                const db::BufferLookup hit = bc.lookup(b);
-                if (hit.hit) {
-                    sum += hit.frame;
-                } else {
-                    const db::BufferVictim v = bc.allocate(b);
-                    sum += v.frame + v.evictedBlock * 3 + v.wasDirty;
-                    bc.fillComplete(v.frame);
-                }
-                break;
-              }
-              case 5: {
-                const db::BufferLookup hit = bc.lookup(b);
-                if (hit.hit && !bc.isDirty(hit.frame)) {
-                    bc.markDirty(hit.frame);
-                    ++sum;
-                }
-                break;
-              }
-              case 6:
-                bc.markClean(b);
-                break;
-              case 7:
-                sum += bc.metaAddr(b);
-                break;
-            }
-        }
-        sums[t] = sum;
-    });
-    const double secs = secondsSince(t0);
-
-    digest = bc.gets() + bc.misses() * 3 + bc.dirtyEvictions() * 7 +
-             bc.residentBlocks();
-    for (unsigned t = 0; t < kShardThreads; ++t)
-        digest += sums[t];
-    return static_cast<double>(ops_per_thread * kShardThreads) / secs;
-}
+/** Host threads of the pool benches (work stealing, intra-point). */
+constexpr unsigned kPoolThreads = 4;
 
 /** Best of @p reps runs, to shed scheduler noise. */
 double
@@ -1193,7 +1004,7 @@ poolDigest(const std::vector<std::uint64_t> &sums)
 double
 poolStealRate(std::uint64_t &digest)
 {
-    ThreadPool pool(kShardThreads);
+    ThreadPool pool(kPoolThreads);
     std::vector<std::uint64_t> sums(kPoolTasks);
     const auto t0 = std::chrono::steady_clock::now();
     pool.submit([&pool, &sums] {
@@ -1212,7 +1023,7 @@ poolStealRate(std::uint64_t &digest)
 double
 poolLegacyRate(std::uint64_t &digest)
 {
-    LegacyMutexPool pool(kShardThreads);
+    LegacyMutexPool pool(kPoolThreads);
     std::vector<std::uint64_t> sums(kPoolTasks);
     const auto t0 = std::chrono::steady_clock::now();
     pool.parallelFor(kPoolTasks, [&sums](std::size_t i) {
@@ -1380,82 +1191,18 @@ main(int argc, char **argv)
         return 1;
     }
 
-    // The K=1-vs-K=4 speedup gates only make sense when the four bench
-    // threads can actually run in parallel: on fewer cores they
-    // timeslice, the K=1 stripe is never truly contended, and the
-    // measured ratio is ~1.0 regardless of how well sharding works.
-    // The digest cross-checks below still run (and still gate) — only
-    // the throughput ratio is hardware-dependent.
+    // The pool speedup gate only makes sense when the bench threads
+    // can actually run in parallel: on fewer cores they timeslice and
+    // the measured ratio says nothing about the pool. The digest
+    // cross-check below still runs (and still gates) — only the
+    // throughput ratio is hardware-dependent.
     const unsigned host_cores = std::thread::hardware_concurrency();
-    const bool shard_gate = host_cores >= kShardThreads;
-    if (!shard_gate) {
+    const bool pool_gate = host_cores >= kPoolThreads;
+    if (!pool_gate) {
         std::fprintf(stderr,
                      "[hotpath] note: %u host core(s) < %u bench "
-                     "threads — sharded speedup gates disabled\n",
-                     host_cores, kShardThreads);
-    }
-
-    std::fprintf(stderr,
-                 "[hotpath] sharded lock churn (4 threads, K=1 vs "
-                 "K=4)...\n");
-    constexpr std::uint64_t kShardLockRounds = 150'000;
-    std::uint64_t lock1_digest = 0, lock4_digest = 0;
-    double lock1_rate = 0.0, lock4_rate = 0.0;
-    {
-        os::SystemConfig scfg;
-        scfg.numCpus = 1;
-        os::System sys(scfg);
-        lock1_rate = bestOf(3, [&] {
-            return lockShardChurnRate(1, kShardLockRounds, sys,
-                                      lock1_digest);
-        });
-        lock4_rate = bestOf(3, [&] {
-            return lockShardChurnRate(4, kShardLockRounds, sys,
-                                      lock4_digest);
-        });
-    }
-    const double lock_shard_speedup = lock4_rate / lock1_rate;
-    std::fprintf(stderr,
-                 "[hotpath]   K=1  %.2fM ops/s\n"
-                 "[hotpath]   K=4  %.2fM ops/s\n"
-                 "[hotpath]   speedup_k4_vs_k1 %.2fx\n",
-                 lock1_rate / 1e6, lock4_rate / 1e6, lock_shard_speedup);
-    if (lock1_digest != lock4_digest) {
-        std::fprintf(stderr,
-                     "[hotpath] FATAL: sharded lock digests diverge "
-                     "(K=1 %llu vs K=4 %llu) — sharding changed "
-                     "observable behaviour\n",
-                     static_cast<unsigned long long>(lock1_digest),
-                     static_cast<unsigned long long>(lock4_digest));
-        return 1;
-    }
-
-    std::fprintf(stderr,
-                 "[hotpath] sharded buffer churn (4 threads, K=1 vs "
-                 "K=4)...\n");
-    constexpr std::uint64_t kShardBufOps = 1'500'000;
-    std::uint64_t buf1_digest = 0, buf4_digest = 0, buf4_serial = 0;
-    const double buf1_rate = bestOf(3, [&] {
-        return bufferShardChurnRate(1, kShardBufOps, true, buf1_digest);
-    });
-    const double buf4_rate = bestOf(3, [&] {
-        return bufferShardChurnRate(4, kShardBufOps, true, buf4_digest);
-    });
-    bufferShardChurnRate(4, kShardBufOps, false, buf4_serial);
-    const double buf_shard_speedup = buf4_rate / buf1_rate;
-    std::fprintf(stderr,
-                 "[hotpath]   K=1  %.2fM ops/s\n"
-                 "[hotpath]   K=4  %.2fM ops/s\n"
-                 "[hotpath]   speedup_k4_vs_k1 %.2fx\n",
-                 buf1_rate / 1e6, buf4_rate / 1e6, buf_shard_speedup);
-    if (buf4_digest != buf4_serial) {
-        std::fprintf(stderr,
-                     "[hotpath] FATAL: sharded buffer digests diverge "
-                     "(threaded %llu vs serial %llu) — K=4 shards are "
-                     "not commuting\n",
-                     static_cast<unsigned long long>(buf4_digest),
-                     static_cast<unsigned long long>(buf4_serial));
-        return 1;
+                     "threads — pool speedup gate disabled\n",
+                     host_cores, kPoolThreads);
     }
 
     std::fprintf(stderr,
@@ -1555,7 +1302,7 @@ main(int argc, char **argv)
         std::fprintf(stderr,
                      "[hotpath] intra-point parallel repeats (W=%u, "
                      "P=%u, repeats=%u, serial vs %u threads)...\n",
-                     kIntraW, kIntraP, kIntraRepeats, kShardThreads);
+                     kIntraW, kIntraP, kIntraRepeats, kPoolThreads);
         core::OltpConfiguration icfg;
         icfg.warehouses = kIntraW;
         icfg.processors = kIntraP;
@@ -1569,7 +1316,7 @@ main(int argc, char **argv)
         intra_serial_wall = secondsSince(t0);
         t0 = std::chrono::steady_clock::now();
         const core::RepeatedResult par =
-            core::repeatRun(icfg, iknobs, kIntraRepeats, kShardThreads);
+            core::repeatRun(icfg, iknobs, kIntraRepeats, kPoolThreads);
         intra_par_wall = secondsSince(t0);
         intra_speedup = intra_serial_wall / intra_par_wall;
         for (unsigned i = 0; i < kIntraRepeats; ++i) {
@@ -1592,7 +1339,7 @@ main(int argc, char **argv)
                      "[hotpath]   %u-thread  %.3fs\n"
                      "[hotpath]   speedup_vs_serial %.2fx "
                      "(replicas bitwise identical)\n",
-                     intra_serial_wall, kShardThreads, intra_par_wall,
+                     intra_serial_wall, kPoolThreads, intra_par_wall,
                      intra_speedup);
     } else {
         std::fprintf(stderr,
@@ -1643,24 +1390,6 @@ main(int argc, char **argv)
         "    \"wheel_events_per_sec\": %.0f,\n"
         "    \"heap_events_per_sec\": %.0f,\n"
         "    \"speedup_wheel_vs_heap\": %.3f,\n"
-        "    \"digest_cross_check\": \"passed\"\n"
-        "  },\n"
-        "  \"lock_shards\": {\n"
-        "    \"threads\": %u,\n"
-        "    \"host_cores\": %u,\n"
-        "    \"speedup_gate_active\": %s,\n"
-        "    \"k1_ops_per_sec\": %.0f,\n"
-        "    \"k4_ops_per_sec\": %.0f,\n"
-        "    \"speedup_k4_vs_k1\": %.3f,\n"
-        "    \"digest_cross_check\": \"passed\"\n"
-        "  },\n"
-        "  \"buffer_shards\": {\n"
-        "    \"threads\": %u,\n"
-        "    \"host_cores\": %u,\n"
-        "    \"speedup_gate_active\": %s,\n"
-        "    \"k1_ops_per_sec\": %.0f,\n"
-        "    \"k4_ops_per_sec\": %.0f,\n"
-        "    \"speedup_k4_vs_k1\": %.3f,\n"
         "    \"digest_cross_check\": \"passed\"\n"
         "  },\n"
         "  \"pool_steal\": {\n"
@@ -1715,19 +1444,16 @@ main(int argc, char **argv)
         legacy_dir_rate, dir_speedup, path_rate, buf_rate,
         legacy_buf_rate, buf_speedup, lock_rate, legacy_lock_rate,
         lock_speedup, wheel_rate, heap_rate, wheel_speedup,
-        kShardThreads, host_cores, shard_gate ? "true" : "false",
-        lock1_rate, lock4_rate, lock_shard_speedup,
-        kShardThreads, host_cores, shard_gate ? "true" : "false",
-        buf1_rate, buf4_rate, buf_shard_speedup, kShardThreads,
-        static_cast<unsigned long long>(kPoolTasks), host_cores,
-        shard_gate ? "true" : "false", pool_ws_rate, pool_legacy_rate,
+        kPoolThreads, static_cast<unsigned long long>(kPoolTasks),
+        host_cores, pool_gate ? "true" : "false", pool_ws_rate,
+        pool_legacy_rate,
         pool_speedup, replay_rate, sim_tps, r.warehouses, r.processors,
         r.wallSeconds, static_cast<unsigned long long>(r.eventsFired),
         r.eventsPerSec(), run_100x ? "false" : "true", big.warehouses,
         big.processors, big.clients, big.wallSeconds,
         static_cast<unsigned long long>(big.eventsFired),
         big.eventsPerSec(), big.tps, run_100x ? "false" : "true",
-        kIntraW, kIntraP, kIntraRepeats, kShardThreads,
+        kIntraW, kIntraP, kIntraRepeats, kPoolThreads,
         intra_serial_wall, intra_par_wall, intra_speedup, __VERSION__,
         ODBSIM_BUILD_TYPE, ODBSIM_GIT_REV);
     std::fclose(f);
@@ -1769,21 +1495,7 @@ main(int argc, char **argv)
                      wheel_speedup);
         rc = 2;
     }
-    if (shard_gate && lock_shard_speedup < 1.3) {
-        std::fprintf(stderr,
-                     "[hotpath] WARNING: sharded lock speedup %.2fx is "
-                     "below the 1.3x gate\n",
-                     lock_shard_speedup);
-        rc = 2;
-    }
-    if (shard_gate && buf_shard_speedup < 1.3) {
-        std::fprintf(stderr,
-                     "[hotpath] WARNING: sharded buffer speedup %.2fx "
-                     "is below the 1.3x gate\n",
-                     buf_shard_speedup);
-        rc = 2;
-    }
-    if (shard_gate && pool_speedup < 1.3) {
+    if (pool_gate && pool_speedup < 1.3) {
         std::fprintf(stderr,
                      "[hotpath] WARNING: work-stealing pool speedup "
                      "%.2fx is below the 1.3x gate\n",

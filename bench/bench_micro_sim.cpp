@@ -128,7 +128,7 @@ BENCHMARK(BM_RngNext);
 int
 main(int argc, char **argv)
 {
-    // Shared bench knobs first (--jobs/--shards/... are not google-
+    // Shared bench knobs first (--jobs/--csv-dir/... are not google-
     // benchmark flags, so they must be consumed before Initialize —
     // and unrecognized leftovers are tolerated, not fatal).
     odbsim::bench::parseArgs(argc, argv);

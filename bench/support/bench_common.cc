@@ -1,9 +1,7 @@
 #include "bench_common.hh"
 
 #include "core/study_io.hh"
-#include "db/types.hh"
 
-#include <bit>
 #include <cerrno>
 #include <cinttypes>
 #include <climits>
@@ -30,9 +28,6 @@ unsigned g_jobs = 1;
 
 /** Per-point wall-time reporting (--profile / ODBSIM_PROFILE). */
 bool g_profile = false;
-
-/** Engine shard count (--shards / ODBSIM_SHARDS). */
-unsigned g_shards = 1;
 
 /** CSV directory: --csv-dir > ODBSIM_CSV_DIR > dir(argv[0]) > ".". */
 std::string g_csv_dir;
@@ -66,17 +61,6 @@ parseJobs(const char *name, const char *text)
     unsigned v = 0;
     if (!parseWhole(text, 0, UINT_MAX, v))
         badValue(name, text, "a non-negative integer (0 = all cores)");
-    return v;
-}
-
-unsigned
-parseShards(const char *name, const char *text)
-{
-    unsigned v = 0;
-    if (!parseWhole(text, 1, db::maxShards, v) || !std::has_single_bit(v))
-        badValue(name, text,
-                 "a power of two in [1, " +
-                     std::to_string(db::maxShards) + "]");
     return v;
 }
 
@@ -139,8 +123,6 @@ parseArgs(int argc, char **argv)
         g_jobs = parseJobs("ODBSIM_JOBS", env);
     if (const char *env = std::getenv("ODBSIM_PROFILE"))
         g_profile = *env && std::strcmp(env, "0") != 0;
-    if (const char *env = std::getenv("ODBSIM_SHARDS"); env && *env)
-        g_shards = parseShards("ODBSIM_SHARDS", env);
     if (const char *env = std::getenv("ODBSIM_CSV_DIR"))
         g_csv_dir = env;
 
@@ -148,9 +130,8 @@ parseArgs(int argc, char **argv)
         const char *arg = argv[i];
         const bool is_jobs = std::strcmp(arg, "--jobs") == 0 ||
                              std::strcmp(arg, "-j") == 0;
-        const bool takes_value = is_jobs ||
-                                 std::strcmp(arg, "--shards") == 0 ||
-                                 std::strcmp(arg, "--csv-dir") == 0;
+        const bool takes_value =
+            is_jobs || std::strcmp(arg, "--csv-dir") == 0;
         if (takes_value && i + 1 >= argc) {
             std::fprintf(stderr, "[bench] missing value for %s\n", arg);
             std::exit(2);
@@ -159,8 +140,6 @@ parseArgs(int argc, char **argv)
             g_jobs = parseJobs(arg, argv[++i]);
         else if (std::strcmp(arg, "--profile") == 0)
             g_profile = true;
-        else if (std::strcmp(arg, "--shards") == 0)
-            g_shards = parseShards(arg, argv[++i]);
         else if (std::strcmp(arg, "--csv-dir") == 0)
             g_csv_dir = argv[++i];
     }
@@ -195,12 +174,6 @@ csvDir()
 }
 
 void
-applyEngineKnobs(core::RunKnobs &knobs)
-{
-    knobs.dbShards = g_shards;
-}
-
-void
 saveStudy(const core::StudyResult &study, const std::string &path)
 {
     core::saveStudyCsv(study, path);
@@ -216,11 +189,7 @@ core::StudyResult
 sharedStudy(core::MachineKind machine)
 {
     const std::string path = cachePath(machine);
-    // A non-default shard count must never read or write the shared
-    // cache: the committed goldens are defined by the K=1 layout
-    // (bit-identical to the pre-shard engine).
-    const bool no_cache =
-        std::getenv("ODBSIM_NO_CACHE") != nullptr || g_shards != 1;
+    const bool no_cache = std::getenv("ODBSIM_NO_CACHE") != nullptr;
     core::StudyResult study;
     if (!no_cache && loadStudy(path, study)) {
         std::fprintf(stderr, "[bench] loaded cached study from %s\n",
@@ -239,7 +208,6 @@ sharedStudy(core::MachineKind machine)
     cfg.warehouses = figureWarehouseGrid();
     cfg.machine = machine;
     cfg.jobs = g_jobs;
-    applyEngineKnobs(cfg.knobs);
     // A surviving profile sidecar from an earlier --profile run turns
     // into measured longest-first costs (scheduling only — the study
     // itself is bit-identical either way).

@@ -31,9 +31,6 @@ std::vector<unsigned> figureWarehouseGrid();
  *  - `--profile` (env `ODBSIM_PROFILE`): print per-grid-point wall
  *    time and events fired as points complete (and a study total),
  *    plus write a `*_profile.csv` sidecar next to the study cache;
- *  - `--shards K` (env `ODBSIM_SHARDS`): engine shard count for the
- *    lock manager and buffer cache (power of two in [1, 256]; default
- *    1, the paper-exact layout);
  *  - `--csv-dir DIR` (env `ODBSIM_CSV_DIR`): directory for every CSV
  *    a bench writes (study caches, their profile sidecars, the
  *    islands and faults sweeps). Defaults to the directory holding
@@ -45,9 +42,7 @@ std::vector<unsigned> figureWarehouseGrid();
  * message and exit code 2. Unknown arguments are ignored so
  * bench-specific flags can coexist. Results are seed-deterministic
  * regardless of the job count (profiling only observes, never
- * perturbs, the simulation). Studies measured with a non-default
- * shard count bypass the shared CSV cache so the committed goldens
- * can never be poisoned by an experimental configuration.
+ * perturbs, the simulation).
  */
 void parseArgs(int argc, char **argv);
 
@@ -60,9 +55,6 @@ bool profileEnabled();
 /** CSV directory selected by --csv-dir/ODBSIM_CSV_DIR (default: the
  *  directory holding the bench binary). */
 const std::string &csvDir();
-
-/** Apply the parsed engine knob (shards) to @p knobs. */
-void applyEngineKnobs(core::RunKnobs &knobs);
 
 /**
  * Obtain the full characterization study for @p machine, from the CSV

@@ -25,7 +25,7 @@ main(int argc, char **argv)
     using namespace odbsim;
     using analysis::TextTable;
 
-    // Shared knobs (--jobs/--shards/--profile) live in
+    // Shared knobs (--jobs/--profile) live in
     // bench_common; only the positional machine name is local.
     bench::parseArgs(argc, argv);
     core::StudyConfig cfg;
@@ -34,7 +34,6 @@ main(int argc, char **argv)
             cfg.machine = core::MachineKind::Itanium2Quad;
     }
     cfg.jobs = bench::studyJobs();
-    bench::applyEngineKnobs(cfg.knobs);
     cfg.onPoint = [](const core::RunResult &r) {
         std::fprintf(stderr, "  measured W=%u P=%u C=%u\n", r.warehouses,
                      r.processors, r.clients);

@@ -60,10 +60,13 @@ ExperimentRunner::checkInputs(const MachinePreset &preset,
         odbsim_fatal("the warm-up of RunKnobs::warmup plus ", warehouses,
                      " x warmupPerWarehouseMs = ", per_w,
                      " ms does not fit in a Tick");
-    const unsigned k = knobs.dbShards;
-    if (k == 0 || k > db::maxShards || !std::has_single_bit(k))
-        odbsim_fatal("RunKnobs::dbShards must be a power of two in [1, ",
-                     db::maxShards, "], got ", k);
+    // The measure window runs until the warm-up's end plus measure; a
+    // sum past the last Tick would wrap and end the run at once.
+    const Tick warm = knobs.warmup + ticksFromMs(extra_ms);
+    if (knobs.measure > std::numeric_limits<Tick>::max() - warm)
+        odbsim_fatal("RunKnobs::measure = ", knobs.measure,
+                     " ticks does not fit in a Tick after the warm-up of ",
+                     warm, " ticks");
     // The memory system keeps 1 of every S sets of each L2 and L3.
     const std::uint32_t s = preset.sys.core.samplePeriod;
     if (!std::has_single_bit(s))
@@ -99,7 +102,6 @@ ExperimentRunner::runWithPreset(const MachinePreset &preset,
     dbcfg.schema.warehouses = warehouses;
     dbcfg.schema.seed = knobs.seed;
     dbcfg.cacheWarehouseEquivalents = preset.cacheWarehouseEquivalents;
-    dbcfg.shards = knobs.dbShards;
     db::Database database(sys, dbcfg);
     database.start();
 

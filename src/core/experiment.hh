@@ -84,10 +84,6 @@ struct RunKnobs
      *  default reproduces the paper-scale behaviour; 100×-scale grid
      *  points dial it down to keep wall clock bounded. */
     double warmupPerWarehouseMs = 4.0;
-    /** Engine shard count for the lock manager and buffer cache
-     *  (power of two; 1 = the unsharded paper-scale layout whose
-     *  goldens are byte-exact — see docs/SCALE.md). */
-    unsigned dbShards = 1;
 };
 
 /**
@@ -150,11 +146,10 @@ class ExperimentRunner
      * and @p knobs can run on @p preset: at least one warehouse, a
      * positive RunKnobs::measure, a finite, non-negative
      * RunKnobs::warmupPerWarehouseMs whose warm-up (RunKnobs::warmup
-     * plus @p warehouses times it) fits in a Tick,
-     * RunKnobs::dbShards a power of two in [1, db::maxShards], and
-     * the preset's sample period a power of two that leaves at least
-     * 2 sets in its scaled L2 and L3. runWithPreset() calls it on
-     * entry.
+     * plus @p warehouses times it) fits in a Tick, a measure window
+     * that still fits in a Tick after that warm-up, and the preset's
+     * sample period a power of two that leaves at least 2 sets in its
+     * scaled L2 and L3. runWithPreset() calls it on entry.
      */
     static void checkInputs(const MachinePreset &preset,
                             unsigned warehouses, const RunKnobs &knobs);

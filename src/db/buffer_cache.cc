@@ -1,58 +1,25 @@
 #include "db/buffer_cache.hh"
 
-#include <bit>
+#include <algorithm>
 
 #include "sim/logging.hh"
 
 namespace odbsim::db
 {
 
-BufferCache::BufferCache(std::uint64_t frames, unsigned shards)
-    : frameMod_(frames), totalFrames_(frames), shardCount_(shards)
+BufferCache::BufferCache(std::uint64_t frames)
+    : frameMod_(frames), numFrames_(frames),
+      sentinel_(static_cast<std::uint32_t>(frames))
 {
-    odbsim_assert(shards >= 1 && shards <= maxShards &&
-                      std::has_single_bit(shards),
-                  "buffer cache shard count must be a power of two in "
-                  "[1, ", maxShards, "], got ", shards);
-    odbsim_assert(frames >= 8 * shards,
-                  "buffer cache needs at least 8 frames per shard");
-    // One shared frame array; the K list sentinels live past the end
-    // so frame indices stay global and dense.
-    frames_.resize(frames + shards);
-    shards_.resize(shards);
-    std::uint64_t base = 0;
-    for (unsigned s = 0; s < shards; ++s) {
-        Shard &sh = shards_[s];
-        const std::uint64_t count =
-            frames / shards + (s < frames % shards ? 1 : 0);
-        sh.nextFree = base;
-        sh.freeEnd = base + count;
-        sh.sentinel = static_cast<std::uint32_t>(frames + s);
-        frames_[sh.sentinel].prev = sh.sentinel;
-        frames_[sh.sentinel].next = sh.sentinel;
-        // Residency per shard can never exceed its frame share, so
-        // after this no index ever rehashes (mapAllocations() flat).
-        sh.map.reserve(count);
-        base += count;
-    }
-}
-
-std::uint64_t
-BufferCache::residentBlocks() const
-{
-    std::uint64_t total = 0;
-    for (const Shard &sh : shards_)
-        total += sh.map.size();
-    return total;
-}
-
-std::uint64_t
-BufferCache::mapAllocations() const
-{
-    std::uint64_t total = 0;
-    for (const Shard &sh : shards_)
-        total += sh.map.allocations();
-    return total;
+    odbsim_assert(frames >= 8, "buffer cache needs at least 8 frames");
+    // The LRU list's sentinel lives past the last frame so frame
+    // indices stay dense.
+    frames_.resize(frames + 1);
+    frames_[sentinel_].prev = sentinel_;
+    frames_[sentinel_].next = sentinel_;
+    // Residency can never exceed the frame count, so after this the
+    // index never rehashes (mapAllocations() flat).
+    map_.reserve(frames);
 }
 
 void
@@ -64,61 +31,53 @@ BufferCache::unlink(std::uint32_t f)
 }
 
 void
-BufferCache::pushFront(Shard &sh, std::uint32_t f)
+BufferCache::pushFront(std::uint32_t f)
 {
     Frame &fr = frames_[f];
-    fr.next = frames_[sh.sentinel].next;
-    fr.prev = sh.sentinel;
+    fr.next = frames_[sentinel_].next;
+    fr.prev = sentinel_;
     frames_[fr.next].prev = f;
-    frames_[sh.sentinel].next = f;
+    frames_[sentinel_].next = f;
 }
 
 BufferLookup
 BufferCache::lookup(BlockId b)
 {
-    Shard &sh = shards_[shardOf(b)];
-    ++sh.gets;
-    const std::uint32_t *slot = sh.map.find(b);
+    ++gets_;
+    const std::uint32_t *slot = map_.find(b);
     if (!slot) {
-        ++sh.misses;
+        ++misses_;
         return BufferLookup{false, 0};
     }
     const std::uint32_t f = *slot;
     unlink(f);
-    pushFront(sh, f);
+    pushFront(f);
     return BufferLookup{true, f};
 }
 
 BufferVictim
 BufferCache::allocate(BlockId b)
 {
-    Shard &sh = shards_[shardOf(b)];
-    odbsim_assert(sh.map.find(b) == nullptr,
+    odbsim_assert(map_.find(b) == nullptr,
                   "allocate for already-resident block ", b);
     BufferVictim out;
 
     std::uint32_t f;
-    if (sh.nextFree < sh.freeEnd) {
-        f = static_cast<std::uint32_t>(sh.nextFree++);
+    if (nextFree_ < numFrames_) {
+        f = static_cast<std::uint32_t>(nextFree_++);
     } else {
-        // Evict from the shard's LRU tail, skipping frames with
-        // in-flight DMA.
-        f = frames_[sh.sentinel].prev;
-        std::uint64_t walked = 0;
-        while (f != sh.sentinel && frames_[f].ioPending) {
+        // Evict from the LRU tail, skipping frames with in-flight DMA.
+        f = frames_[sentinel_].prev;
+        while (f != sentinel_ && frames_[f].ioPending)
             f = frames_[f].prev;
-            ++walked;
-        }
-        odbsim_assert(f != sh.sentinel, "shard ", shardOf(b),
-                      ": all frames are I/O pending");
-        (void)walked;
+        odbsim_assert(f != sentinel_, "all frames are I/O pending");
         Frame &victim = frames_[f];
         out.hadBlock = true;
         out.evictedBlock = victim.block;
         out.wasDirty = victim.dirty;
         if (victim.dirty)
-            ++sh.dirtyEvictions;
-        sh.map.erase(victim.block);
+            ++dirtyEvictions_;
+        map_.erase(victim.block);
         unlink(f);
     }
 
@@ -126,8 +85,8 @@ BufferCache::allocate(BlockId b)
     fr.block = b;
     fr.dirty = false;
     fr.ioPending = true;
-    sh.map.findOrInsert(b) = f;
-    pushFront(sh, f);
+    map_.findOrInsert(b) = f;
+    pushFront(f);
     out.frame = f;
     return out;
 }
@@ -147,24 +106,66 @@ BufferCache::markDirty(std::uint64_t frame)
 void
 BufferCache::prefill(BlockId b, bool dirty)
 {
-    Shard &sh = shards_[shardOf(b)];
-    if (sh.map.find(b) != nullptr)
+    if (map_.find(b) != nullptr)
         return;
-    if (sh.nextFree >= sh.freeEnd)
+    if (nextFree_ >= numFrames_)
         return;
-    const std::uint32_t f = static_cast<std::uint32_t>(sh.nextFree++);
+    const std::uint32_t f = static_cast<std::uint32_t>(nextFree_++);
     Frame &fr = frames_[f];
     fr.block = b;
     fr.dirty = dirty;
     fr.ioPending = false;
-    sh.map.findOrInsert(b) = f;
-    pushFront(sh, f);
+    map_.findOrInsert(b) = f;
+    pushFront(f);
+}
+
+void
+BufferCache::finishWarmFill(std::uint64_t n)
+{
+    // Why this equals prefill()ing the n distinct blocks coldest
+    // first. That order gives the i-th distinct block (i from 0,
+    // hottest first) frame n-1-i and pushes it to MRU last of all
+    // colder blocks, so the LRU list runs frame n-1 (MRU) down to
+    // frame 0 (LRU), and nextFree is n.
+    //  - warmFill() gave the i-th block frame numFrames-1-i. When the
+    //    stream filled the cache (n == numFrames) that is n-1-i
+    //    already.
+    //  - When the stream ran dry first, every frame and index value
+    //    sits numFrames-n too high: slide frames [numFrames-n,
+    //    numFrames) down to [0, n), reset the vacated ones to empty,
+    //    and lower every index value by the same gap.
+    //  - One sweep then links frame f between f+1 (towards MRU) and
+    //    f-1 (towards LRU), which is exactly the list n pushFront()s
+    //    of frames 0, 1, ..., n-1 build.
+    const std::uint64_t gap = numFrames_ - n;
+    if (gap > 0) {
+        std::copy(frames_.begin() + static_cast<std::ptrdiff_t>(gap),
+                  frames_.begin() + static_cast<std::ptrdiff_t>(numFrames_),
+                  frames_.begin());
+        std::fill(frames_.begin() + static_cast<std::ptrdiff_t>(n),
+                  frames_.begin() + static_cast<std::ptrdiff_t>(numFrames_),
+                  Frame{});
+        const auto shift = static_cast<std::uint32_t>(gap);
+        map_.forEachValue([shift](std::uint32_t &f) { f -= shift; });
+    }
+    nextFree_ = n;
+    if (n == 0)
+        return;
+    for (std::uint32_t f = 0; f < n; ++f) {
+        frames_[f].prev = f + 1;
+        frames_[f].next = f - 1;
+    }
+    const auto mru = static_cast<std::uint32_t>(n - 1);
+    frames_[mru].prev = sentinel_;
+    frames_[0].next = sentinel_;
+    frames_[sentinel_].next = mru;
+    frames_[sentinel_].prev = 0;
 }
 
 void
 BufferCache::markClean(BlockId b)
 {
-    const std::uint32_t *f = shards_[shardOf(b)].map.find(b);
+    const std::uint32_t *f = map_.find(b);
     if (f)
         frames_[*f].dirty = false;
 }
@@ -172,11 +173,9 @@ BufferCache::markClean(BlockId b)
 void
 BufferCache::resetStats()
 {
-    for (Shard &sh : shards_) {
-        sh.gets = 0;
-        sh.misses = 0;
-        sh.dirtyEvictions = 0;
-    }
+    gets_ = 0;
+    misses_ = 0;
+    dirtyEvictions_ = 0;
 }
 
 } // namespace odbsim::db

@@ -19,15 +19,9 @@
  * metaAddr()'s bucket fold over the non-power-of-two frame count is a
  * precomputed exact fastmod rather than a 64-bit hardware divide.
  *
- * The cache is sharded by block hash into K independent
- * {index, LRU list, frame range} shards over one shared frame array
- * (K power of two, default 1). K=1 is structurally identical to the
- * unsharded layout — one shard owning every frame and the whole index
- * — so paper-scale runs are unchanged; K>1 partitions the frame pool
- * and gives each shard its own LRU, the shape a concurrent host needs
- * to drive the cache without a global serialization point (see
- * docs/SCALE.md). Frame-indexed operations (fillComplete, markDirty,
- * blockAt) are shard-agnostic: frame indices remain global.
+ * warmFill() stands in for the paper's 20-minute warm-up run: one
+ * pass over a hottest-first block stream that lands each block in its
+ * final frame and LRU position (see docs/SCALE.md).
  */
 
 #ifndef ODBSIM_DB_BUFFER_CACHE_HH
@@ -40,6 +34,7 @@
 #include "mem/addr_space.hh"
 #include "sim/fastmod.hh"
 #include "sim/flat_map.hh"
+#include "sim/logging.hh"
 #include "sim/types.hh"
 
 namespace odbsim::db
@@ -69,35 +64,20 @@ struct BufferVictim
 class BufferCache
 {
   public:
-    /** @param shards Shard count (power of two, 1..256); each shard
-     *  needs at least 8 frames. */
-    explicit BufferCache(std::uint64_t frames, unsigned shards = 1);
+    /** @param frames Frame count; at least 8. */
+    explicit BufferCache(std::uint64_t frames);
 
-    std::uint64_t numFrames() const { return totalFrames_; }
-    std::uint64_t residentBlocks() const;
+    std::uint64_t numFrames() const { return numFrames_; }
+    std::uint64_t residentBlocks() const { return map_.size(); }
 
-    /** Shard count K this cache was built with. */
-    unsigned shards() const { return shardCount_; }
-
-    /** Shard owning @p b (stable for the life of the cache). */
-    unsigned
-    shardOf(BlockId b) const
-    {
-        // Distinct mixer from the FlatMap's Fibonacci hash and from
-        // metaAddr()'s fold, so shard choice stays uncorrelated with
-        // both the in-shard probe index and the descriptor bucket.
-        return static_cast<unsigned>((b * 0xff51afd7ed558ccdULL) >> 56) &
-               (shardCount_ - 1);
-    }
-
-    /** Probe for @p b; hits are promoted to MRU of their shard. */
+    /** Probe for @p b; hits are promoted to MRU. */
     BufferLookup lookup(BlockId b);
 
     /** Probe without LRU promotion or statistics. */
     BufferLookup
     peek(BlockId b) const
     {
-        const std::uint32_t *f = shards_[shardOf(b)].map.find(b);
+        const std::uint32_t *f = map_.find(b);
         if (!f)
             return BufferLookup{false, 0};
         return BufferLookup{true, *f};
@@ -106,8 +86,7 @@ class BufferCache
     /**
      * Claim a frame for @p b (which must not be resident) and mark it
      * I/O-pending; the caller writes back the dirty victim if any and
-     * calls fillComplete() when the DMA lands. The victim always comes
-     * from @p b's own shard.
+     * calls fillComplete() when the DMA lands.
      */
     BufferVictim allocate(BlockId b);
 
@@ -132,10 +111,53 @@ class BufferCache
     /**
      * Warm-up helper: make @p b resident at MRU with no I/O and no
      * statistics; @p dirty marks it modified (steady-state dirty
-     * population). No-op if already resident or no free frame exists
-     * in @p b's shard.
+     * population). No-op if already resident or no free frame exists.
      */
     void prefill(BlockId b, bool dirty = false);
+
+    /**
+     * Fill an empty cache from a hottest-first block stream in one
+     * pass, with no I/O and no statistics. @p stream is called once
+     * with a sink `bool(BlockId)`; it feeds blocks hottest first and
+     * stops when the sink returns false (the cache is full). Only a
+     * block's first occurrence counts; @p dirty(b) says whether block
+     * b starts modified.
+     *
+     * The result is exactly that of prefill()ing the stream's distinct
+     * blocks coldest-first: frame f holds the (n-1-f)-th distinct
+     * block of n, the hottest sits at MRU and the next allocate()
+     * takes frame n.
+     */
+    template <typename Stream, typename DirtyRule>
+    void
+    warmFill(Stream &&stream, DirtyRule &&dirty)
+    {
+        odbsim_assert(map_.size() == 0,
+                      "a warm fill needs an empty buffer cache, but ",
+                      map_.size(), " blocks are resident");
+        // The k-th distinct block (k from 0) takes frame numFrames-1-k,
+        // written in place, so frames are final whenever the cache
+        // fills. The index both dedupes the stream and maps each block
+        // to its frame. finishWarmFill() slides the frames down if the
+        // stream ran dry and links the LRU list; it carries the proof
+        // that the result equals the coldest-first prefill().
+        std::uint64_t n = 0;
+        stream([&](BlockId b) {
+            bool inserted = false;
+            std::uint32_t &slot = map_.findOrInsert(b, inserted);
+            if (!inserted)
+                return true; // A hotter occurrence already has a frame.
+            const auto f = static_cast<std::uint32_t>(numFrames_ - 1 - n);
+            ++n;
+            slot = f;
+            Frame &fr = frames_[f];
+            fr.block = b;
+            fr.dirty = dirty(b);
+            fr.ioPending = false;
+            return n < numFrames_;
+        });
+        finishWarmFill(n);
+    }
 
     /** Clean a resident block (DBWR finished writing it back). */
     void markClean(BlockId b);
@@ -151,8 +173,7 @@ class BufferCache
      * Virtual address of the hash-bucket/descriptor for @p b. The
      * fold onto the frame count is an exact fastmod (bit-identical to
      * `%`, asserted by test), so the per-Touch hot path never pays a
-     * 64-bit hardware divide. The fold spans the whole frame pool
-     * regardless of sharding — descriptor addresses are global.
+     * 64-bit hardware divide.
      */
     Addr
     metaAddr(BlockId b) const
@@ -162,51 +183,26 @@ class BufferCache
         return mem::addrmap::frameMetaAddr(bucket);
     }
 
-    /** @name Statistics (accumulated per shard, summed on read, so
-     *  concurrent drivers of disjoint shards share no mutable state)
-     *  @{ */
-    std::uint64_t
-    gets() const
-    {
-        std::uint64_t n = 0;
-        for (const Shard &sh : shards_)
-            n += sh.gets;
-        return n;
-    }
-    std::uint64_t
-    misses() const
-    {
-        std::uint64_t n = 0;
-        for (const Shard &sh : shards_)
-            n += sh.misses;
-        return n;
-    }
-    std::uint64_t
-    dirtyEvictions() const
-    {
-        std::uint64_t n = 0;
-        for (const Shard &sh : shards_)
-            n += sh.dirtyEvictions;
-        return n;
-    }
+    /** @name Statistics @{ */
+    std::uint64_t gets() const { return gets_; }
+    std::uint64_t misses() const { return misses_; }
+    std::uint64_t dirtyEvictions() const { return dirtyEvictions_; }
     double
     hitRatio() const
     {
-        const std::uint64_t g = gets();
-        return g ? 1.0 - static_cast<double>(misses()) /
-                             static_cast<double>(g)
-                 : 0.0;
+        return gets_ ? 1.0 - static_cast<double>(misses_) /
+                                 static_cast<double>(gets_)
+                     : 0.0;
     }
     void resetStats();
     /** @} */
 
     /**
-     * Growth events of the resident-block indexes, summed over shards
-     * (perf-test hook). Every shard's index is reserved to its frame
-     * share at construction, so this must never advance after the
-     * constructor returns.
+     * Growth events of the resident-block index (perf-test hook). The
+     * index is reserved to the frame count at construction, so this
+     * must never advance after the constructor returns.
      */
-    std::uint64_t mapAllocations() const;
+    std::uint64_t mapAllocations() const { return map_.allocations(); }
 
   private:
     struct Frame
@@ -218,29 +214,21 @@ class BufferCache
         std::uint32_t next = 0;
     };
 
-    /** One cache shard: index + LRU over its slice of the frames +
-     *  counters. Everything a lookup/allocate mutates lives here (or
-     *  in the shard's own frame range), so two shards can be driven
-     *  concurrently without sharing state. */
-    struct Shard
-    {
-        sim::FlatMap<BlockId, std::uint32_t> map;
-        std::uint64_t nextFree = 0; ///< Next never-used frame index.
-        std::uint64_t freeEnd = 0;  ///< One past the shard's last frame.
-        std::uint32_t sentinel = 0; ///< LRU list head/tail anchor.
-        std::uint64_t gets = 0;
-        std::uint64_t misses = 0;
-        std::uint64_t dirtyEvictions = 0;
-    };
-
     void unlink(std::uint32_t f);
-    void pushFront(Shard &sh, std::uint32_t f);
+    void pushFront(std::uint32_t f);
+    void finishWarmFill(std::uint64_t n);
 
+    /** The frames, then the LRU list's head/tail anchor at index
+     *  numFrames_ (next = MRU, prev = LRU). */
     std::vector<Frame> frames_;
-    std::vector<Shard> shards_;
+    sim::FlatMap<BlockId, std::uint32_t> map_;
     sim::FastMod64 frameMod_;
-    std::uint64_t totalFrames_ = 0;
-    unsigned shardCount_ = 1;
+    std::uint64_t numFrames_ = 0;
+    std::uint32_t sentinel_ = 0;
+    std::uint64_t nextFree_ = 0; ///< Next never-used frame index.
+    std::uint64_t gets_ = 0;
+    std::uint64_t misses_ = 0;
+    std::uint64_t dirtyEvictions_ = 0;
 };
 
 } // namespace odbsim::db

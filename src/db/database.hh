@@ -43,14 +43,6 @@ struct DatabaseConfig
     double warmDirtyFraction = 0.20;
     DbCostModel costs;
     DbWriterConfig dbwr;
-    /**
-     * Shard count for the lock manager and buffer cache (power of
-     * two). 1 (the default) is structurally identical to the
-     * unsharded engine, keeping paper-scale goldens byte-exact; K>1
-     * partitions both by resource/block hash for production-scale
-     * grids (see docs/SCALE.md).
-     */
-    unsigned shards = 1;
 };
 
 /**
@@ -66,7 +58,9 @@ class Database
 
     /**
      * Instantly populate the buffer cache in hotness order —
-     * substitute for the paper's 20-minute warm-up run.
+     * substitute for the paper's 20-minute warm-up run. One pass of
+     * BufferCache::warmFill() over Schema::enumerateWarm()'s stream;
+     * the cache must be empty.
      *
      * @param active_warehouses Home warehouses of the bound clients;
      *        empty means all warehouses are active.

@@ -19,14 +19,6 @@
  * enqueueing a waiter or handing a lock over never touches the heap
  * once the pool has reached its high-water mark (observable via
  * tableAllocations()).
- *
- * The manager is sharded by resource hash into K independent
- * {table, waiter pool} shards (K power of two, default 1). K=1 is
- * structurally identical to the unsharded layout — one shard holding
- * the same FlatMap and pool — so paper-scale runs are unchanged; at
- * production scale (thousands of warehouses) K>1 keeps each table
- * small and, under a concurrent host, lets independent shards be
- * driven without a global serialization point (see docs/SCALE.md).
  */
 
 #ifndef ODBSIM_DB_LOCK_MANAGER_HH
@@ -50,24 +42,6 @@ namespace odbsim::db
 class LockManager
 {
   public:
-    /** @param shards Shard count (power of two, 1..256). */
-    explicit LockManager(unsigned shards = 1);
-
-    /** Shard count K this manager was built with. */
-    unsigned shards() const { return shardCount_; }
-
-    /** Shard owning @p key (stable for the life of the manager). */
-    unsigned
-    shardOf(LockKey key) const
-    {
-        // Distinct mixer from the FlatMap's Fibonacci hash: the shard
-        // index must not be correlated with the in-shard probe index,
-        // or every key in a shard would collapse onto a fraction of
-        // its table.
-        return static_cast<unsigned>((key * 0xff51afd7ed558ccdULL) >> 56) &
-               (shardCount_ - 1);
-    }
-
     /**
      * Bind the owning system. Required for lock-wait timeouts (the
      * fault plan's lockWaitTimeoutMs knob): with timeouts enabled,
@@ -102,71 +76,37 @@ class LockManager
 
     /**
      * Locks currently granted — an explicit granted-holder count,
-     * maintained per shard on grant/release, so it stays correct
-     * regardless of how the resource table stores (or retires) empty
-     * entries. Queued waiters do not count until the lock is handed
-     * to them.
+     * maintained on grant/release, so it stays correct regardless of
+     * how the resource table stores (or retires) empty entries.
+     * Queued waiters do not count until the lock is handed to them.
      */
-    std::size_t
-    heldCount() const
-    {
-        std::size_t n = 0;
-        for (const Shard &sh : shards_)
-            n += sh.held;
-        return n;
-    }
+    std::size_t heldCount() const { return held_; }
 
     /** Waiters currently queued across all resources. */
-    std::size_t
-    waiterCount() const
-    {
-        std::size_t n = 0;
-        for (const Shard &sh : shards_)
-            n += sh.waiters;
-        return n;
-    }
+    std::size_t waiterCount() const { return waiters_; }
 
     /**
-     * Pre-size every shard's resource table and waiter pool so the
-     * manager as a whole absorbs @p resources simultaneously held
-     * locks and @p waiters simultaneously queued processes (each
-     * shard gets the ceiling share).
+     * Pre-size the resource table and waiter pool to absorb
+     * @p resources simultaneously held locks and @p waiters
+     * simultaneously queued processes.
      */
     void reserve(std::size_t resources, std::size_t waiters);
 
     /**
-     * Growth events of the resource tables plus the waiter pools,
-     * summed over shards (perf-test hook). Steady-state churn at or
-     * below the high-water population must not advance this.
+     * Growth events of the resource table plus the waiter pool
+     * (perf-test hook). Steady-state churn at or below the high-water
+     * population must not advance this.
      */
     std::uint64_t tableAllocations() const;
 
-    /** @name Statistics (accumulated per shard, summed on read, so
-     *  concurrent drivers of disjoint shards share no mutable state)
-     *  @{ */
-    std::uint64_t
-    acquires() const
-    {
-        std::uint64_t n = 0;
-        for (const Shard &sh : shards_)
-            n += sh.acquires;
-        return n;
-    }
-    std::uint64_t
-    conflicts() const
-    {
-        std::uint64_t n = 0;
-        for (const Shard &sh : shards_)
-            n += sh.conflicts;
-        return n;
-    }
+    /** @name Statistics @{ */
+    std::uint64_t acquires() const { return acquires_; }
+    std::uint64_t conflicts() const { return conflicts_; }
     void
     resetStats()
     {
-        for (Shard &sh : shards_) {
-            sh.acquires = 0;
-            sh.conflicts = 0;
-        }
+        acquires_ = 0;
+        conflicts_ = 0;
     }
     /** @} */
 
@@ -185,12 +125,12 @@ class LockManager
         std::uint32_t tail = npos; ///< Newest waiter.
     };
 
-    /** Pooled waiter-queue node (lives in its shard's pool, linked by
-     *  index). The stamp is bumped every time the node is freed, so a
-     *  pending timeout event holding (node, stamp) can detect that its
-     *  waiter was already granted (or timed out) and the node reused —
-     *  the mechanism that makes same-tick grant-vs-timeout
-     *  deterministic: whichever fires first invalidates the other. */
+    /** Pooled waiter-queue node (lives in the pool, linked by index).
+     *  The stamp is bumped every time the node is freed, so a pending
+     *  timeout event holding (node, stamp) can detect that its waiter
+     *  was already granted (or timed out) and the node reused — the
+     *  mechanism that makes same-tick grant-vs-timeout deterministic:
+     *  whichever fires first invalidates the other. */
     struct Waiter
     {
         os::Process *proc = nullptr;
@@ -198,28 +138,19 @@ class LockManager
         std::uint32_t stamp = 0;
     };
 
-    /** One independent lock domain: resource table + waiter pool +
-     *  counters. Everything an acquire/release mutates lives here, so
-     *  two shards can be driven concurrently without sharing state. */
-    struct Shard
-    {
-        sim::FlatMap<LockKey, Resource> table;
-        std::vector<Waiter> pool;
-        std::uint32_t freeHead = npos;
-        std::size_t held = 0;
-        std::size_t waiters = 0;
-        std::uint64_t poolAllocations = 0;
-        std::uint64_t acquires = 0;
-        std::uint64_t conflicts = 0;
-    };
-
-    std::uint32_t allocWaiter(Shard &sh, os::Process *p);
-    void freeWaiter(Shard &sh, std::uint32_t n);
+    std::uint32_t allocWaiter(os::Process *p);
+    void freeWaiter(std::uint32_t n);
 
     os::System *sys_ = nullptr;
     Tick timeoutTicks_ = 0; ///< 0 = lock-wait timeouts disabled.
-    std::vector<Shard> shards_;
-    unsigned shardCount_ = 1;
+    sim::FlatMap<LockKey, Resource> table_;
+    std::vector<Waiter> pool_;
+    std::uint32_t freeHead_ = npos;
+    std::size_t held_ = 0;
+    std::size_t waiters_ = 0;
+    std::uint64_t poolAllocations_ = 0;
+    std::uint64_t acquires_ = 0;
+    std::uint64_t conflicts_ = 0;
 };
 
 } // namespace odbsim::db

@@ -20,10 +20,6 @@ constexpr BlockId invalidBlock = ~static_cast<BlockId>(0);
 /** Database block size used throughout the study. */
 constexpr std::uint64_t blockBytes = 8192;
 
-/** Largest shard count of the lock manager and buffer cache, whose
- *  shard counts are powers of two in [1, maxShards]. */
-constexpr unsigned maxShards = 256;
-
 /** The tables of the ODB order-entry schema. */
 enum class Table : std::uint8_t
 {

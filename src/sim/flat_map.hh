@@ -222,6 +222,21 @@ class FlatMap
             rehash(cap);
     }
 
+    /**
+     * Call @p fn(value) on every live entry's value, in slot order:
+     * one sequential pass over the table. @p fn may change the values
+     * but must not insert or erase.
+     */
+    template <typename Fn>
+    void
+    forEachValue(Fn &&fn)
+    {
+        for (std::size_t i = 0; i < slots_.size(); ++i) {
+            if (gens_[i] == gen_)
+                fn(slots_[i].value);
+        }
+    }
+
     /** Live entries. */
     std::size_t size() const { return size_; }
 

@@ -1,17 +1,16 @@
 /**
  * @file
  * Input checks at the core API boundary: a run or study with zero
- * warehouses, a RunKnobs::dbShards that is not a power of two in
- * [1, db::maxShards], a processor count outside [1, maxProcessors],
- * or a sample period that is not a power of two leaving at least 2
- * sets in every scaled L2 and L3 stops with a one-line fatal message
- * (exit code 1) on entry, instead of tripping an engine assert
- * (abort) deep inside the machine presets, memory hierarchy, schema,
- * buffer cache or lock manager. So does a warm-up or measurement
- * window that would otherwise hang the run (a NaN per-warehouse
- * warm-up), silently change it (a negative one wraps the unsigned
- * warm-up; one past a Tick overflows) or measure nothing (a zero
- * measure window).
+ * warehouses, a processor count outside [1, maxProcessors], or a
+ * sample period that is not a power of two leaving at least 2 sets in
+ * every scaled L2 and L3 stops with a one-line fatal message (exit
+ * code 1) on entry, instead of tripping an engine assert (abort) deep
+ * inside the machine presets, memory hierarchy, schema or buffer
+ * cache. So does a warm-up or measurement window that would otherwise
+ * hang the run (a NaN per-warehouse warm-up), silently change it (a
+ * negative one wraps the unsigned warm-up; one past a Tick overflows)
+ * or measure nothing (a zero measure window, or one whose end wraps
+ * past the last Tick).
  */
 
 #include <gtest/gtest.h>
@@ -33,12 +32,11 @@ using namespace odbsim;
 using namespace odbsim::core;
 
 RunKnobs
-fastKnobs(unsigned shards = 1)
+fastKnobs()
 {
     RunKnobs k;
     k.warmup = ticksFromSeconds(0.02);
     k.measure = ticksFromSeconds(0.05);
-    k.dbShards = shards;
     return k;
 }
 
@@ -65,12 +63,12 @@ sampledKnobs(std::uint32_t sample_period)
  * point ran.
  */
 StudyConfig
-tripwireStudy(std::vector<unsigned> warehouses, unsigned shards = 1)
+tripwireStudy(std::vector<unsigned> warehouses)
 {
     StudyConfig cfg;
     cfg.warehouses = std::move(warehouses);
     cfg.processors = {1};
-    cfg.knobs = fastKnobs(shards);
+    cfg.knobs = fastKnobs();
     cfg.onPoint = [](const RunResult &) { std::_Exit(3); };
     return cfg;
 }
@@ -91,32 +89,11 @@ TEST(RunInputsDeathTest, RunWithPresetRejectsZeroWarehouses)
                 "fatal: a run needs at least 1 warehouse, got 0");
 }
 
-TEST(RunInputsDeathTest, RunRejectsBadShardCounts)
-{
-    for (const unsigned shards : {0u, 3u, 512u}) {
-        SCOPED_TRACE(shards);
-        EXPECT_EXIT(
-            ExperimentRunner::run(point(10), fastKnobs(shards)),
-            testing::ExitedWithCode(1),
-            "fatal: RunKnobs::dbShards must be a power of two in "
-            "\\[1, 256\\], got " +
-                std::to_string(shards));
-    }
-}
-
 TEST(RunInputsDeathTest, StudyRejectsZeroWarehousesBeforeAnyPoint)
 {
     EXPECT_EXIT(ScalingStudy::run(tripwireStudy({10, 0})),
                 testing::ExitedWithCode(1),
                 "fatal: a run needs at least 1 warehouse, got 0");
-}
-
-TEST(RunInputsDeathTest, StudyRejectsBadShardCountBeforeAnyPoint)
-{
-    StudyConfig cfg = tripwireStudy({10}, 3);
-    cfg.jobs = 2;
-    EXPECT_EXIT(ScalingStudy::run(cfg), testing::ExitedWithCode(1),
-                "fatal: RunKnobs::dbShards must be a power of two");
 }
 
 TEST(RunInputsDeathTest, RunRejectsBadProcessorCounts)
@@ -248,6 +225,49 @@ TEST(RunInputsDeathTest, StudyRejectsAZeroMeasureWindowBeforeAnyPoint)
     cfg.jobs = 2;
     EXPECT_EXIT(ScalingStudy::run(cfg), testing::ExitedWithCode(1),
                 "fatal: RunKnobs::measure must be positive");
+}
+
+/**
+ * Knobs whose measure window ends past the last Tick: 5 ms of warm-up
+ * and a window 1 ms short of the whole Tick range. Unchecked, the end
+ * tick wraps below the warm-up's end and the run measures nothing.
+ */
+RunKnobs
+wrappingMeasureKnobs()
+{
+    RunKnobs k = fastKnobs();
+    k.warmup = ticksFromMs(5.0);
+    k.warmupPerWarehouseMs = 0.0;
+    k.measure = std::numeric_limits<Tick>::max() - tickPerMs;
+    return k;
+}
+
+const char *const measureOverflow =
+    "fatal: RunKnobs::measure = [0-9]+ ticks does not fit in a Tick "
+    "after the warm-up of [0-9]+ ticks";
+
+TEST(RunInputsDeathTest, RunRejectsAMeasureWindowThatOverflowsATick)
+{
+    EXPECT_EXIT(ExperimentRunner::run(point(1), wrappingMeasureKnobs()),
+                testing::ExitedWithCode(1), measureOverflow);
+}
+
+TEST(RunInputsDeathTest, RunWithPresetRejectsAMeasureWindowThatOverflows)
+{
+    const MachinePreset preset =
+        makeMachine(MachineKind::XeonQuadMp, 1, 16, 42);
+    EXPECT_EXIT(ExperimentRunner::runWithPreset(preset, 1, 0,
+                                                wrappingMeasureKnobs()),
+                testing::ExitedWithCode(1), measureOverflow);
+}
+
+TEST(RunInputsDeathTest, StudyRejectsAnOverflowingMeasureBeforeAnyPoint)
+{
+    StudyConfig cfg = tripwireStudy({1});
+    cfg.knobs = wrappingMeasureKnobs();
+    cfg.jobs = 2;
+    EXPECT_EXIT(ScalingStudy::run(cfg), testing::ExitedWithCode(1),
+                measureOverflow);
 }
 
 } // namespace

@@ -264,140 +264,6 @@ TEST(BufferCache, SteadyStateChurnNeverGrowsTheIndex)
     EXPECT_EQ(bc.mapAllocations(), allocs);
 }
 
-TEST(BufferCacheSharded, ShardOfPartitionsTheBlockSpace)
-{
-    BufferCache k1(16);
-    BufferCache k4(64, 4);
-    EXPECT_EQ(k1.shards(), 1u);
-    EXPECT_EQ(k4.shards(), 4u);
-    bool seen[4] = {};
-    for (BlockId b = 0; b < 4096; ++b) {
-        EXPECT_EQ(k1.shardOf(b), 0u);
-        const unsigned s = k4.shardOf(b);
-        ASSERT_LT(s, 4u);
-        seen[s] = true;
-        EXPECT_EQ(k4.shardOf(b), s); // Stable for the cache's life.
-    }
-    EXPECT_TRUE(seen[0] && seen[1] && seen[2] && seen[3]);
-}
-
-/** K=1 must be structurally identical to the unsharded default: the
- *  same reference stream yields the same frames, victims and stats. */
-TEST(BufferCacheSharded, ExplicitK1MatchesDefault)
-{
-    BufferCache a(16);
-    BufferCache b(16, 1);
-    for (BlockId i = 0; i < 200; ++i) {
-        const BlockId blk = (i * 7) % 40;
-        const BufferLookup la = a.lookup(blk);
-        const BufferLookup lb = b.lookup(blk);
-        ASSERT_EQ(la.hit, lb.hit) << blk;
-        if (la.hit) {
-            ASSERT_EQ(la.frame, lb.frame) << blk;
-        } else {
-            const BufferVictim va = a.allocate(blk);
-            const BufferVictim vb = b.allocate(blk);
-            ASSERT_EQ(va.frame, vb.frame) << blk;
-            ASSERT_EQ(va.hadBlock, vb.hadBlock) << blk;
-            ASSERT_EQ(va.evictedBlock, vb.evictedBlock) << blk;
-            a.fillComplete(va.frame);
-            b.fillComplete(vb.frame);
-        }
-    }
-    EXPECT_EQ(a.gets(), b.gets());
-    EXPECT_EQ(a.misses(), b.misses());
-}
-
-/** The replacement victim must always come from the missing block's
- *  own shard — sharding partitions the frame pool and the LRU. */
-TEST(BufferCacheSharded, VictimComesFromOwnShard)
-{
-    BufferCache bc(64, 4);
-    for (BlockId b = 0; bc.residentBlocks() < 64; ++b)
-        bc.prefill(b);
-    for (BlockId b = 1000; b < 1200; ++b) {
-        if (bc.lookup(b).hit)
-            continue;
-        const BufferVictim v = bc.allocate(b);
-        ASSERT_TRUE(v.hadBlock);
-        EXPECT_EQ(bc.shardOf(v.evictedBlock), bc.shardOf(b)) << b;
-        bc.fillComplete(v.frame);
-    }
-}
-
-/** LRU recency is tracked per shard: a shard evicts its own coldest
- *  block even when other shards hold globally colder ones. */
-TEST(BufferCacheSharded, LruIsPerShard)
-{
-    BufferCache bc(64, 4);
-    // Populate every shard (these residents are globally coldest).
-    for (BlockId b = 0; bc.residentBlocks() < 64; ++b)
-        bc.prefill(b);
-    // Collect shard 0's residents and warm all but one.
-    std::vector<BlockId> s0;
-    for (BlockId b = 0; s0.size() < 16 && b < 4096; ++b) {
-        if (bc.shardOf(b) == 0 && bc.peek(b).hit)
-            s0.push_back(b);
-    }
-    ASSERT_EQ(s0.size(), 16u);
-    const BlockId cold = s0[3];
-    for (const BlockId b : s0) {
-        if (b != cold)
-            bc.lookup(b);
-    }
-    // A miss in shard 0 must evict shard 0's cold block, not one of
-    // the never-touched residents in shards 1-3.
-    BlockId miss = 100'000;
-    while (bc.shardOf(miss) != 0)
-        ++miss;
-    const BufferVictim v = bc.allocate(miss);
-    EXPECT_EQ(v.evictedBlock, cold);
-}
-
-/** prefill() fills a shard's own frame share and then no-ops, leaving
- *  the other shards' frames untouched. */
-TEST(BufferCacheSharded, PrefillStopsAtTheShardShare)
-{
-    BufferCache bc(64, 4);
-    std::vector<BlockId> s0;
-    for (BlockId b = 0; s0.size() < 17; ++b) {
-        if (bc.shardOf(b) == 0)
-            s0.push_back(b);
-    }
-    for (const BlockId b : s0)
-        bc.prefill(b);
-    // 16 frames per shard: the 17th block of shard 0 found no free
-    // frame even though 48 frames sit free in other shards.
-    EXPECT_EQ(bc.residentBlocks(), 16u);
-    EXPECT_FALSE(bc.peek(s0.back()).hit);
-    for (std::size_t i = 0; i < 16; ++i)
-        EXPECT_TRUE(bc.peek(s0[i]).hit) << i;
-}
-
-/** Statistics accumulate per shard and sum on read. */
-TEST(BufferCacheSharded, StatsAggregateAcrossShards)
-{
-    BufferCache bc(64, 4);
-    bool done[4] = {};
-    unsigned covered = 0;
-    for (BlockId b = 0; covered < 4; ++b) {
-        const unsigned s = bc.shardOf(b);
-        if (done[s])
-            continue;
-        done[s] = true;
-        ++covered;
-        EXPECT_FALSE(bc.lookup(b).hit); // One miss per shard...
-        bc.fillComplete(bc.allocate(b).frame);
-        EXPECT_TRUE(bc.lookup(b).hit); // ...and one hit per shard.
-    }
-    EXPECT_EQ(bc.gets(), 8u);
-    EXPECT_EQ(bc.misses(), 4u);
-    EXPECT_NEAR(bc.hitRatio(), 0.5, 1e-12);
-    bc.resetStats();
-    EXPECT_EQ(bc.gets(), 0u);
-    EXPECT_EQ(bc.misses(), 0u);
-}
-
 /** Property: hit ratio is monotone in cache size for an LRU-friendly
  *  cyclic-with-skew reference pattern. */
 class BufferCacheSizeProperty

@@ -1,13 +1,14 @@
 /**
  * @file
- * Frame layout of Database::instantWarm. The prefill keeps each
- * block's first (hottest) occurrence in Schema::enumerateWarm's
- * stream, fills the cache coldest-first so the hottest block ends at
- * MRU, and marks a deterministic share of the blocks dirty. Every
- * frame's block and dirty bit is checked against a reference built
- * from the public Schema and BufferCache calls, on a database smaller
- * than the cache and on one whose prefill budget binds, each with one
- * and four shards.
+ * Frame layout and LRU order of Database::instantWarm. The warm fill
+ * keeps each block's first (hottest) occurrence in
+ * Schema::enumerateWarm's stream, places the blocks as a coldest-first
+ * prefill would so the hottest block ends at MRU, and marks a
+ * deterministic share of them dirty. Every frame's block, dirty bit
+ * and index entry, and the LRU order, are checked against a reference
+ * built from the public Schema and BufferCache::prefill calls, on a
+ * database smaller than the cache (the stream runs dry) and on one
+ * whose frame budget binds.
  */
 
 #include <gtest/gtest.h>
@@ -35,8 +36,7 @@ std::uint64_t
 referenceWarm(const db::Schema &schema, double dirty_fraction,
               db::BufferCache &cache)
 {
-    const std::uint64_t budget =
-        cache.numFrames() - cache.residentBlocks();
+    const std::uint64_t budget = cache.numFrames();
     std::vector<db::BlockId> hot;
     std::unordered_set<db::BlockId> seen;
     schema.enumerateWarm([&](db::BlockId b) {
@@ -53,72 +53,127 @@ referenceWarm(const db::Schema &schema, double dirty_fraction,
     return hot.size();
 }
 
-/** Distinct warm candidates the reference collected, and frames. */
-struct WarmShape
+db::DatabaseConfig
+sized(unsigned warehouses)
 {
-    std::uint64_t candidates = 0;
-    std::uint64_t frames = 0;
-};
-
-/**
- * Warm a default-sized W-warehouse database on @p shards shards and
- * compare it frame by frame with the reference.
- */
-WarmShape
-expectReferenceLayout(unsigned warehouses, unsigned shards)
-{
-    os::System sys(test::miniSystemConfig(1));
     db::DatabaseConfig cfg;
     cfg.schema.warehouses = warehouses;
-    cfg.shards = shards;
-    db::Database database(sys, cfg);
-    database.instantWarm();
-    const db::BufferCache &got = database.bufferCache();
+    return cfg;
+}
 
-    db::BufferCache ref(got.numFrames(), shards);
-    const std::uint64_t candidates =
-        referenceWarm(database.schema(), cfg.warmDirtyFraction, ref);
+/** A default-sized W-warehouse database after instantWarm(), and the
+ *  reference warm-up of a cache of the same size. */
+struct Warmed
+{
+    explicit Warmed(unsigned warehouses)
+        : sys(test::miniSystemConfig(1)), database(sys, sized(warehouses)),
+          ref(database.bufferCache().numFrames())
+    {
+        database.instantWarm();
+        candidates = referenceWarm(database.schema(),
+                                   database.config().warmDirtyFraction,
+                                   ref);
+    }
 
-    EXPECT_EQ(got.residentBlocks(), ref.residentBlocks());
+    os::System sys;
+    db::Database database;
+    db::BufferCache ref;
+    std::uint64_t candidates = 0;
+};
+
+/** Every frame's block and dirty bit, and every resident block's
+ *  index entry, match the reference. */
+void
+expectReferenceLayout(const Warmed &w)
+{
+    const db::BufferCache &got = w.database.bufferCache();
+    EXPECT_EQ(got.residentBlocks(), w.ref.residentBlocks());
     std::uint64_t mismatches = 0;
     std::uint64_t dirty = 0;
     for (std::uint64_t f = 0; f < got.numFrames(); ++f) {
-        if (got.blockAt(f) != ref.blockAt(f) ||
-            got.isDirty(f) != ref.isDirty(f)) {
+        const db::BlockId b = got.blockAt(f);
+        const bool indexed = b == db::invalidBlock ||
+                             (got.peek(b).hit && got.peek(b).frame == f);
+        if (b != w.ref.blockAt(f) || got.isDirty(f) != w.ref.isDirty(f) ||
+            !indexed) {
             if (mismatches++ == 0)
                 ADD_FAILURE() << "first mismatch at frame " << f
-                              << ": block " << got.blockAt(f) << " vs "
-                              << ref.blockAt(f) << ", dirty "
+                              << ": block " << b << " vs "
+                              << w.ref.blockAt(f) << ", dirty "
                               << got.isDirty(f) << " vs "
-                              << ref.isDirty(f);
+                              << w.ref.isDirty(f) << ", indexed "
+                              << indexed;
         }
         dirty += got.isDirty(f) ? 1 : 0;
     }
     EXPECT_EQ(mismatches, 0u);
     EXPECT_GT(dirty, 0u);
-    return WarmShape{candidates, got.numFrames()};
+}
+
+/**
+ * Allocating numFrames() blocks that neither cache holds first uses up
+ * the free frames and then evicts every warmed block in LRU order, so
+ * equal victim sequences prove equal LRU lists (and equal free-frame
+ * cursors).
+ */
+void
+expectReferenceLruOrder(Warmed &w)
+{
+    db::BufferCache &got = w.database.bufferCache();
+    const db::BlockId fresh = std::uint64_t{1} << 62; // Past any schema.
+    std::uint64_t evictions = 0;
+    for (std::uint64_t i = 0; i < got.numFrames(); ++i) {
+        const db::BufferVictim a = got.allocate(fresh + i);
+        const db::BufferVictim b = w.ref.allocate(fresh + i);
+        got.fillComplete(a.frame);
+        w.ref.fillComplete(b.frame);
+        ASSERT_EQ(a.frame, b.frame) << "allocation " << i;
+        ASSERT_EQ(a.hadBlock, b.hadBlock) << "allocation " << i;
+        ASSERT_EQ(a.evictedBlock, b.evictedBlock) << "allocation " << i;
+        ASSERT_EQ(a.wasDirty, b.wasDirty) << "allocation " << i;
+        evictions += a.hadBlock ? 1 : 0;
+    }
+    EXPECT_EQ(evictions, w.candidates);
 }
 
 TEST(InstantWarm, CachedDatabaseFrameLayoutMatchesReference)
 {
     // W=10 holds fewer distinct warm blocks than the cache has frames:
     // the stream runs dry before the budget does.
-    for (const unsigned shards : {1u, 4u}) {
-        SCOPED_TRACE(shards);
-        const WarmShape s = expectReferenceLayout(10, shards);
-        EXPECT_LT(s.candidates, s.frames);
-    }
+    const Warmed w(10);
+    expectReferenceLayout(w);
+    EXPECT_LT(w.candidates, w.ref.numFrames());
 }
 
 TEST(InstantWarm, BudgetBoundFrameLayoutMatchesReference)
 {
     // W=4096 offers far more warm blocks than frames: the budget stops
     // the stream, so the hottest-first order decides what fits.
-    for (const unsigned shards : {1u, 4u}) {
-        SCOPED_TRACE(shards);
-        const WarmShape s = expectReferenceLayout(4096, shards);
-        EXPECT_EQ(s.candidates, s.frames);
-    }
+    const Warmed w(4096);
+    expectReferenceLayout(w);
+    EXPECT_EQ(w.candidates, w.ref.numFrames());
+}
+
+TEST(InstantWarm, CachedDatabaseLruOrderMatchesReference)
+{
+    Warmed w(10);
+    expectReferenceLruOrder(w);
+}
+
+TEST(InstantWarm, BudgetBoundLruOrderMatchesReference)
+{
+    Warmed w(4096);
+    expectReferenceLruOrder(w);
+}
+
+TEST(InstantWarmDeathTest, NonEmptyCacheStops)
+{
+    os::System sys(test::miniSystemConfig(1));
+    db::Database database(sys, sized(1));
+    database.bufferCache().prefill(7);
+    EXPECT_DEATH(database.instantWarm(),
+                 "a warm fill needs an empty buffer cache, but 1 blocks "
+                 "are resident");
 }
 
 } // namespace

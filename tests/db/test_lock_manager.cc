@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <memory>
 
 #include "db/lock_manager.hh"
@@ -355,109 +354,6 @@ TEST(LockManager, StatsCountAcquires)
     rig.locks.resetStats();
     EXPECT_EQ(rig.locks.acquires(), 0u);
     EXPECT_EQ(rig.locks.conflicts(), 0u);
-}
-
-TEST(LockManagerSharded, ShardOfPartitionsTheKeySpace)
-{
-    LockManager k1(1);
-    LockManager k4(4);
-    EXPECT_EQ(k1.shards(), 1u);
-    EXPECT_EQ(k4.shards(), 4u);
-    bool seen[4] = {};
-    for (LockKey k = 0; k < 4096; ++k) {
-        EXPECT_EQ(k1.shardOf(k), 0u);
-        const unsigned s = k4.shardOf(k);
-        ASSERT_LT(s, 4u);
-        seen[s] = true;
-        // Stable: the owner never changes for a fixed key.
-        EXPECT_EQ(k4.shardOf(k), s);
-    }
-    // A decorrelated hash must reach every shard on a dense range.
-    EXPECT_TRUE(seen[0] && seen[1] && seen[2] && seen[3]);
-}
-
-/**
- * The same contended op sequence through K=1 and K=4 managers must be
- * observationally identical: sharding only partitions storage, never
- * semantics (grant/queue/FIFO/statistics).
- */
-TEST(LockManagerSharded, ShardedMatchesUnshardedSemantics)
-{
-    Rig rig; // Supplies sys + processes; rig.locks is the K=1 side.
-    LockManager k4(4);
-    auto drive = [&rig](LockManager &lm) {
-        // Keys chosen to land in distinct shards of a 4-way split.
-        for (LockKey k : {1ull, 2ull, 3ull, 5ull, 8ull, 13ull}) {
-            lm.acquire(rig.p1, k);
-            lm.acquire(rig.p2, k); // Queues.
-        }
-        lm.acquire(rig.p3, 1);           // Second waiter on key 1.
-        lm.release(rig.p1, 1, rig.sys);  // Hand-off to p2.
-        lm.release(rig.p2, 1, rig.sys);  // Hand-off to p3.
-        lm.release(rig.p1, 2, rig.sys);  // Hand-off to p2.
-    };
-    drive(rig.locks);
-    drive(k4);
-    EXPECT_EQ(k4.heldCount(), rig.locks.heldCount());
-    EXPECT_EQ(k4.waiterCount(), rig.locks.waiterCount());
-    EXPECT_EQ(k4.acquires(), rig.locks.acquires());
-    EXPECT_EQ(k4.conflicts(), rig.locks.conflicts());
-    for (LockKey k : {1ull, 2ull, 3ull, 5ull, 8ull, 13ull})
-        EXPECT_EQ(k4.holderOf(k), rig.locks.holderOf(k)) << k;
-}
-
-TEST(LockManagerSharded, ReserveAndChurnStayAllocationFree)
-{
-    Rig rig;
-    LockManager k4(4);
-    // reserve() gives each shard the ceiling share, but the shard
-    // hash does not split a dense key range exactly evenly — so size
-    // the reservation to the *largest* shard's actual population
-    // (reserving 4×max hands each shard max).
-    unsigned res_per_shard[4] = {};
-    unsigned wait_per_shard[4] = {};
-    for (LockKey k = 0; k < 256; ++k)
-        ++res_per_shard[k4.shardOf(k)];
-    for (LockKey k = 0; k < 32; ++k)
-        ++wait_per_shard[k4.shardOf(k)];
-    const unsigned max_res =
-        *std::max_element(res_per_shard, res_per_shard + 4);
-    const unsigned max_wait =
-        *std::max_element(wait_per_shard, wait_per_shard + 4);
-    k4.reserve(4 * max_res, 4 * max_wait);
-    const std::uint64_t allocs = k4.tableAllocations();
-    for (int round = 0; round < 50; ++round) {
-        for (LockKey k = 0; k < 256; ++k)
-            k4.acquire(rig.p1, k);
-        for (LockKey k = 0; k < 32; ++k)
-            k4.acquire(rig.p2, k); // Queued waiters exercise the pools.
-        for (LockKey k = 0; k < 256; ++k)
-            k4.release(rig.p1, k, rig.sys);
-        for (LockKey k = 0; k < 32; ++k)
-            k4.release(rig.p2, k, rig.sys);
-    }
-    EXPECT_EQ(k4.tableAllocations(), allocs);
-    EXPECT_EQ(k4.heldCount(), 0u);
-    EXPECT_EQ(k4.waiterCount(), 0u);
-}
-
-TEST(LockTimeoutSharded, TimeoutsWorkPerShard)
-{
-    TimeoutRig rig; // Carries the 5 ms lock-wait fault plan.
-    LockManager k4(4);
-    k4.bind(&rig.sys);
-    // Two contended keys in different shards, both waiters expire.
-    const LockKey ka = 1, kb = 2;
-    ASSERT_NE(k4.shardOf(ka), k4.shardOf(kb));
-    k4.acquire(rig.p1, ka);
-    k4.acquire(rig.p1, kb);
-    EXPECT_FALSE(k4.acquire(rig.p2, ka));
-    EXPECT_FALSE(k4.acquire(rig.p3, kb));
-    rig.sys.runFor(10 * tickPerMs);
-    EXPECT_EQ(rig.sys.faults().stats().lockTimeouts, 2u);
-    EXPECT_EQ(k4.holderOf(ka), rig.p1);
-    EXPECT_EQ(k4.holderOf(kb), rig.p1);
-    EXPECT_EQ(k4.waiterCount(), 0u);
 }
 
 } // namespace

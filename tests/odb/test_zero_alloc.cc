@@ -10,7 +10,9 @@
  * builds — through a replaced global operator new that counts every
  * heap allocation across a steady-state planning loop. The same
  * counter also sums the bytes a database set-up requests, which must
- * follow the buffer-cache frame count rather than the warehouse count.
+ * follow the buffer-cache frame count rather than the warehouse count,
+ * and the bytes an instant warm-up requests, which must not follow
+ * either.
  */
 
 #include <gtest/gtest.h>
@@ -342,13 +344,13 @@ class ParkedForever : public os::Process
 };
 
 /**
- * Steady-state churn through K=4 sharded lock and buffer tables —
- * contended acquire/release rounds with FIFO hand-offs, and a
- * miss/evict reference stream — performs zero heap allocations once
- * the shards' tables, waiter pools and the scheduler's wake path have
- * reached their high-water marks.
+ * Steady-state churn through the lock and buffer tables — contended
+ * acquire/release rounds with FIFO hand-offs, and a miss/evict
+ * reference stream — performs zero heap allocations once the tables,
+ * the waiter pool and the scheduler's wake path have reached their
+ * high-water marks.
  */
-TEST(ZeroAlloc, ShardedLockAndBufferSteadyStateIsAllocationFree)
+TEST(ZeroAlloc, LockAndBufferSteadyStateIsAllocationFree)
 {
     os::SystemConfig cfg;
     cfg.numCpus = 1;
@@ -360,15 +362,15 @@ TEST(ZeroAlloc, ShardedLockAndBufferSteadyStateIsAllocationFree)
     os::Process *p2 = sys.spawn(std::make_unique<ParkedForever>());
     sys.runFor(tickPerMs); // Let both park.
 
-    db::LockManager lm(4);
-    db::BufferCache bc(64, 4);
+    db::LockManager lm;
+    db::BufferCache bc(64);
     Rng rng(11);
     std::uint64_t sink = 0;
     auto round = [&] {
         for (db::LockKey k = 0; k < 32; ++k)
             lm.acquire(p1, k);
         for (db::LockKey k = 0; k < 8; ++k)
-            lm.acquire(p2, k); // Queued: exercises the waiter pools.
+            lm.acquire(p2, k); // Queued: exercises the waiter pool.
         for (db::LockKey k = 0; k < 32; ++k)
             lm.release(p1, k, sys);
         for (db::LockKey k = 0; k < 8; ++k)
@@ -382,7 +384,7 @@ TEST(ZeroAlloc, ShardedLockAndBufferSteadyStateIsAllocationFree)
             }
         }
     };
-    round(); // Reach every shard's high-water population.
+    round(); // Reach the high-water population.
 
     const std::uint64_t tblBefore = lm.tableAllocations();
     const std::uint64_t mapBefore = bc.mapAllocations();
@@ -391,7 +393,7 @@ TEST(ZeroAlloc, ShardedLockAndBufferSteadyStateIsAllocationFree)
     for (int i = 0; i < 2000; ++i)
         round();
     EXPECT_EQ(g_newCalls.load(std::memory_order_relaxed), newBefore)
-        << "steady-state sharded lock/buffer churn touched the heap";
+        << "steady-state lock/buffer churn touched the heap";
     EXPECT_EQ(lm.tableAllocations(), tblBefore);
     EXPECT_EQ(bc.mapAllocations(), mapBefore);
     EXPECT_EQ(lm.heldCount(), 0u);
@@ -440,6 +442,32 @@ TEST(ZeroAlloc, DatabaseSetupBytesDoNotScaleWithWarehouses)
     EXPECT_GT(small, 0u);
     EXPECT_LT(large, small + (std::uint64_t{2} << 20))
         << "W=64 set-up: " << small << " bytes, W=4096: " << large;
+#endif
+}
+
+/**
+ * instantWarm() writes each block straight into its frame through the
+ * buffer cache's own index: no per-frame dedupe table or candidate
+ * list, so a W=4096 warm-up (about 220K blocks) requests well under
+ * 64 KB of heap.
+ */
+TEST(ZeroAlloc, InstantWarmDoesNotAllocatePerFrame)
+{
+#if !ODBSIM_TEST_COUNT_GLOBAL_NEW
+    GTEST_SKIP() << "global operator new is not replaced under ASan";
+#else
+    os::System sys(test::miniSystemConfig(1));
+    db::DatabaseConfig cfg;
+    cfg.schema.warehouses = 4096;
+    db::Database database(sys, cfg);
+    const std::uint64_t before = g_newBytes.load(std::memory_order_relaxed);
+    database.instantWarm();
+    const std::uint64_t bytes =
+        g_newBytes.load(std::memory_order_relaxed) - before;
+    EXPECT_EQ(database.bufferCache().residentBlocks(),
+              database.bufferCache().numFrames());
+    EXPECT_LT(bytes, std::uint64_t{64} << 10)
+        << "instantWarm requested " << bytes << " bytes";
 #endif
 }
 
