@@ -34,11 +34,10 @@
 #include <cinttypes>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/experiment.hh"
-#include "sim/thread_pool.hh"
+#include "sim/parallel_for.hh"
 
 namespace
 {
@@ -154,22 +153,10 @@ main(int argc, char **argv)
                      grid[k].mttrMs);
     };
 
-    unsigned jobs = bench::studyJobs();
-    if (jobs == 0) {
-        jobs = std::thread::hardware_concurrency();
-        if (jobs == 0)
-            jobs = 1;
-    }
     std::fprintf(stderr,
                  "[bench] measuring %zu fault points (jobs=%u)...\n",
-                 kTotal, jobs);
-    if (jobs <= 1) {
-        for (std::size_t k = 0; k < kTotal; ++k)
-            runPoint(k);
-    } else {
-        ThreadPool pool(jobs);
-        pool.parallelFor(kTotal, runPoint);
-    }
+                 kTotal, bench::studyJobs());
+    parallelFor(bench::studyJobs(), kTotal, runPoint);
 
     // --- CSV (deterministic; diffed serial-vs-parallel by the smoke
     // script) ---

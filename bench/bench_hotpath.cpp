@@ -21,26 +21,21 @@
  * Usage: bench_hotpath [--out FILE]   (default: BENCH_hotpath.json)
  */
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <functional>
-#include <future>
 #include <memory>
-#include <mutex>
 #include <queue>
 #include <string>
-#include <thread>
-#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
 #include "core/experiment.hh"
-#include "core/repeat.hh"
 #include "db/buffer_cache.hh"
 #include "db/database.hh"
 #include "db/lock_manager.hh"
@@ -51,7 +46,6 @@
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
-#include "sim/thread_pool.hh"
 #include "support/bench_common.hh"
 
 #ifndef ODBSIM_GIT_REV
@@ -847,9 +841,6 @@ eventChurn100xRate(EventQueueKind kind, std::uint64_t events,
     return static_cast<double>(events) / secs;
 }
 
-/** Host threads of the pool benches (work stealing, intra-point). */
-constexpr unsigned kPoolThreads = 4;
-
 /** Best of @p reps runs, to shed scheduler noise. */
 double
 best(int reps, double (*fn)(std::uint64_t), std::uint64_t n)
@@ -880,158 +871,6 @@ bestOf(int reps, Fn fn)
     for (int i = 0; i < reps; ++i)
         b = std::max(b, fn());
     return b;
-}
-
-/**
- * The thread pool as it was before the work-stealing rebuild: one
- * central std::queue guarded by a mutex and condition variable, and a
- * shared_ptr<packaged_task> heap allocation plus a future per
- * submitted task; parallelFor queued one task per index through that
- * central lock. Kept verbatim as the perf reference for pool_steal's
- * speedup_vs_legacy.
- */
-class LegacyMutexPool
-{
-  public:
-    explicit LegacyMutexPool(unsigned threads)
-    {
-        workers_.reserve(threads);
-        for (unsigned i = 0; i < threads; ++i)
-            workers_.emplace_back([this] { workerLoop(); });
-    }
-
-    ~LegacyMutexPool()
-    {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            stop_ = true;
-        }
-        cv_.notify_all();
-        for (auto &w : workers_)
-            w.join();
-    }
-
-    template <typename F>
-    auto
-    submit(F &&fn) -> std::future<std::invoke_result_t<std::decay_t<F>>>
-    {
-        using Ret = std::invoke_result_t<std::decay_t<F>>;
-        auto task = std::make_shared<std::packaged_task<Ret()>>(
-            std::forward<F>(fn));
-        std::future<Ret> result = task->get_future();
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            tasks_.emplace([task] { (*task)(); });
-        }
-        cv_.notify_one();
-        return result;
-    }
-
-    template <typename Fn>
-    void
-    parallelFor(std::size_t n, Fn &&fn)
-    {
-        std::vector<std::future<void>> pending;
-        pending.reserve(n);
-        for (std::size_t i = 0; i < n; ++i)
-            pending.push_back(submit([&fn, i] { fn(i); }));
-        for (auto &f : pending)
-            f.get();
-    }
-
-  private:
-    void
-    workerLoop()
-    {
-        for (;;) {
-            std::function<void()> task;
-            {
-                std::unique_lock<std::mutex> lock(mutex_);
-                cv_.wait(lock,
-                         [this] { return stop_ || !tasks_.empty(); });
-                if (tasks_.empty())
-                    return;
-                task = std::move(tasks_.front());
-                tasks_.pop();
-            }
-            task();
-        }
-    }
-
-    std::vector<std::thread> workers_;
-    std::queue<std::function<void()>> tasks_;
-    std::mutex mutex_;
-    std::condition_variable cv_;
-    bool stop_ = false;
-};
-
-/** Tasks in the pool benches' imbalanced mix. */
-constexpr std::uint64_t kPoolTasks = 60'000;
-
-/** Pure per-index payload: every 64th task is ~67x heavier than the
- *  rest — the skewed mix a dynamic scheduler has to rebalance. */
-std::uint64_t
-poolTaskWork(std::size_t i)
-{
-    std::uint64_t x =
-        static_cast<std::uint64_t>(i) * 0x9e3779b97f4a7c15ULL + 1;
-    const unsigned iters = (i % 64 == 0) ? 20'000 : 300;
-    for (unsigned k = 0; k < iters; ++k) {
-        x ^= x >> 33;
-        x *= 0xff51afd7ed558ccdULL;
-    }
-    return x;
-}
-
-/** Index-order fold of the per-task outputs: identical across pools
- *  iff every index computed the same value (completion order never
- *  enters). */
-std::uint64_t
-poolDigest(const std::vector<std::uint64_t> &sums)
-{
-    std::uint64_t d = 0xcbf29ce484222325ULL;
-    for (std::uint64_t v : sums)
-        d = (d ^ v) * 0x100000001b3ULL;
-    return d;
-}
-
-/**
- * Tasks/sec for the imbalanced mix on the work-stealing pool: a root
- * task fans the indices out with a nested parallelFor, so claims come
- * from the worker-local deque and idle workers steal the heavy tail —
- * the pool-v2 fast path (no per-task allocation, no central lock).
- */
-double
-poolStealRate(std::uint64_t &digest)
-{
-    ThreadPool pool(kPoolThreads);
-    std::vector<std::uint64_t> sums(kPoolTasks);
-    const auto t0 = std::chrono::steady_clock::now();
-    pool.submit([&pool, &sums] {
-            pool.parallelFor(kPoolTasks, [&sums](std::size_t i) {
-                sums[i] = poolTaskWork(i);
-            });
-        })
-        .get();
-    const double secs = secondsSince(t0);
-    digest = poolDigest(sums);
-    return static_cast<double>(kPoolTasks) / secs;
-}
-
-/** The same mix on the legacy pool: one mutex-queued task (and one
- *  future round-trip) per index. */
-double
-poolLegacyRate(std::uint64_t &digest)
-{
-    LegacyMutexPool pool(kPoolThreads);
-    std::vector<std::uint64_t> sums(kPoolTasks);
-    const auto t0 = std::chrono::steady_clock::now();
-    pool.parallelFor(kPoolTasks, [&sums](std::size_t i) {
-        sums[i] = poolTaskWork(i);
-    });
-    const double secs = secondsSince(t0);
-    digest = poolDigest(sums);
-    return static_cast<double>(kPoolTasks) / secs;
 }
 
 } // namespace
@@ -1191,45 +1030,6 @@ main(int argc, char **argv)
         return 1;
     }
 
-    // The pool speedup gate only makes sense when the bench threads
-    // can actually run in parallel: on fewer cores they timeslice and
-    // the measured ratio says nothing about the pool. The digest
-    // cross-check below still runs (and still gates) — only the
-    // throughput ratio is hardware-dependent.
-    const unsigned host_cores = std::thread::hardware_concurrency();
-    const bool pool_gate = host_cores >= kPoolThreads;
-    if (!pool_gate) {
-        std::fprintf(stderr,
-                     "[hotpath] note: %u host core(s) < %u bench "
-                     "threads — pool speedup gate disabled\n",
-                     host_cores, kPoolThreads);
-    }
-
-    std::fprintf(stderr,
-                 "[hotpath] pool churn (imbalanced mix, work-stealing "
-                 "vs legacy mutex queue)...\n");
-    std::uint64_t pool_ws_digest = 0, pool_legacy_digest = 0;
-    const double pool_ws_rate =
-        bestOf(3, [&] { return poolStealRate(pool_ws_digest); });
-    const double pool_legacy_rate =
-        bestOf(3, [&] { return poolLegacyRate(pool_legacy_digest); });
-    const double pool_speedup = pool_ws_rate / pool_legacy_rate;
-    std::fprintf(stderr,
-                 "[hotpath]   ThreadPool (steal) %.2fM tasks/s\n"
-                 "[hotpath]   LegacyMutexPool    %.2fM tasks/s\n"
-                 "[hotpath]   speedup_vs_legacy %.2fx\n",
-                 pool_ws_rate / 1e6, pool_legacy_rate / 1e6,
-                 pool_speedup);
-    if (pool_ws_digest != pool_legacy_digest) {
-        std::fprintf(stderr,
-                     "[hotpath] FATAL: pool digests diverge "
-                     "(steal %llu vs legacy %llu) — the pools did not "
-                     "run the same task mix\n",
-                     static_cast<unsigned long long>(pool_ws_digest),
-                     static_cast<unsigned long long>(pool_legacy_digest));
-        return 1;
-    }
-
     std::fprintf(stderr, "[hotpath] plan-and-replay throughput...\n");
     double sim_tps = 0.0;
     const double replay_rate =
@@ -1287,66 +1087,6 @@ main(int argc, char **argv)
                              "(ODBSIM_HOTPATH_100X=0)\n");
     }
 
-    // Intra-point parallelism at the paper's largest grid point
-    // (W=800 is the figure ceiling): the same point measured with
-    // repeats=3 serially and with the replicas fanned out as pool
-    // tasks. The per-replica results must be bitwise identical — only
-    // the wall clock may change. Shares the ODBSIM_HOTPATH_100X
-    // switch with the 100x point (both are the slow at-scale
-    // sections).
-    constexpr unsigned kIntraRepeats = 3;
-    constexpr unsigned kIntraW = 800, kIntraP = 4;
-    double intra_serial_wall = 0.0, intra_par_wall = 0.0;
-    double intra_speedup = 0.0;
-    if (run_100x) {
-        std::fprintf(stderr,
-                     "[hotpath] intra-point parallel repeats (W=%u, "
-                     "P=%u, repeats=%u, serial vs %u threads)...\n",
-                     kIntraW, kIntraP, kIntraRepeats, kPoolThreads);
-        core::OltpConfiguration icfg;
-        icfg.warehouses = kIntraW;
-        icfg.processors = kIntraP;
-        core::RunKnobs iknobs;
-        iknobs.warmup = ticksFromMs(50.0);
-        iknobs.measure = ticksFromMs(150.0);
-        iknobs.warmupPerWarehouseMs = 0.1;
-        auto t0 = std::chrono::steady_clock::now();
-        const core::RepeatedResult serial =
-            core::repeatRun(icfg, iknobs, kIntraRepeats, 1);
-        intra_serial_wall = secondsSince(t0);
-        t0 = std::chrono::steady_clock::now();
-        const core::RepeatedResult par =
-            core::repeatRun(icfg, iknobs, kIntraRepeats, kPoolThreads);
-        intra_par_wall = secondsSince(t0);
-        intra_speedup = intra_serial_wall / intra_par_wall;
-        for (unsigned i = 0; i < kIntraRepeats; ++i) {
-            const core::RunResult &a = serial.runs[i];
-            const core::RunResult &b = par.runs[i];
-            if (a.tps != b.tps ||
-                a.txnsCommitted != b.txnsCommitted ||
-                a.eventsFired != b.eventsFired) {
-                std::fprintf(
-                    stderr,
-                    "[hotpath] FATAL: parallel repeat replica %u "
-                    "diverges from serial (tps %.17g vs %.17g) — "
-                    "nested repeats are not bit-identical\n",
-                    i, a.tps, b.tps);
-                return 1;
-            }
-        }
-        std::fprintf(stderr,
-                     "[hotpath]   serial    %.3fs\n"
-                     "[hotpath]   %u-thread  %.3fs\n"
-                     "[hotpath]   speedup_vs_serial %.2fx "
-                     "(replicas bitwise identical)\n",
-                     intra_serial_wall, kPoolThreads, intra_par_wall,
-                     intra_speedup);
-    } else {
-        std::fprintf(stderr,
-                     "[hotpath] intra-point parallel repeats skipped "
-                     "(ODBSIM_HOTPATH_100X=0)\n");
-    }
-
     std::FILE *f = std::fopen(out_path, "w");
     if (!f) {
         std::fprintf(stderr, "[hotpath] cannot write %s\n", out_path);
@@ -1392,16 +1132,6 @@ main(int argc, char **argv)
         "    \"speedup_wheel_vs_heap\": %.3f,\n"
         "    \"digest_cross_check\": \"passed\"\n"
         "  },\n"
-        "  \"pool_steal\": {\n"
-        "    \"threads\": %u,\n"
-        "    \"tasks\": %llu,\n"
-        "    \"host_cores\": %u,\n"
-        "    \"speedup_gate_active\": %s,\n"
-        "    \"ws_tasks_per_sec\": %.0f,\n"
-        "    \"legacy_tasks_per_sec\": %.0f,\n"
-        "    \"speedup_vs_legacy\": %.3f,\n"
-        "    \"digest_cross_check\": \"passed\"\n"
-        "  },\n"
         "  \"plan_replay\": {\n"
         "    \"txns_per_host_sec\": %.0f,\n"
         "    \"sim_tps\": %.1f\n"
@@ -1423,17 +1153,6 @@ main(int argc, char **argv)
         "    \"events_per_sec\": %.0f,\n"
         "    \"tps\": %.1f\n"
         "  },\n"
-        "  \"intra_point\": {\n"
-        "    \"skipped\": %s,\n"
-        "    \"warehouses\": %u,\n"
-        "    \"processors\": %u,\n"
-        "    \"repeats\": %u,\n"
-        "    \"pool_threads\": %u,\n"
-        "    \"serial_wall_seconds\": %.3f,\n"
-        "    \"parallel_wall_seconds\": %.3f,\n"
-        "    \"speedup_vs_serial\": %.3f,\n"
-        "    \"bitwise_cross_check\": \"passed\"\n"
-        "  },\n"
         "  \"provenance\": {\n"
         "    \"compiler\": \"%s\",\n"
         "    \"build_type\": \"%s\",\n"
@@ -1444,17 +1163,12 @@ main(int argc, char **argv)
         legacy_dir_rate, dir_speedup, path_rate, buf_rate,
         legacy_buf_rate, buf_speedup, lock_rate, legacy_lock_rate,
         lock_speedup, wheel_rate, heap_rate, wheel_speedup,
-        kPoolThreads, static_cast<unsigned long long>(kPoolTasks),
-        host_cores, pool_gate ? "true" : "false", pool_ws_rate,
-        pool_legacy_rate,
-        pool_speedup, replay_rate, sim_tps, r.warehouses, r.processors,
+        replay_rate, sim_tps, r.warehouses, r.processors,
         r.wallSeconds, static_cast<unsigned long long>(r.eventsFired),
         r.eventsPerSec(), run_100x ? "false" : "true", big.warehouses,
         big.processors, big.clients, big.wallSeconds,
         static_cast<unsigned long long>(big.eventsFired),
-        big.eventsPerSec(), big.tps, run_100x ? "false" : "true",
-        kIntraW, kIntraP, kIntraRepeats, kPoolThreads,
-        intra_serial_wall, intra_par_wall, intra_speedup, __VERSION__,
+        big.eventsPerSec(), big.tps, __VERSION__,
         ODBSIM_BUILD_TYPE, ODBSIM_GIT_REV);
     std::fclose(f);
     std::fprintf(stderr, "[hotpath] wrote %s\n", out_path);
@@ -1493,13 +1207,6 @@ main(int argc, char **argv)
                      "[hotpath] WARNING: 100x-density wheel-vs-heap "
                      "speedup %.2fx is below the 1.5x gate\n",
                      wheel_speedup);
-        rc = 2;
-    }
-    if (pool_gate && pool_speedup < 1.3) {
-        std::fprintf(stderr,
-                     "[hotpath] WARNING: work-stealing pool speedup "
-                     "%.2fx is below the 1.3x gate\n",
-                     pool_speedup);
         rc = 2;
     }
     return rc;

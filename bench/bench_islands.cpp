@@ -26,11 +26,10 @@
 #include <cinttypes>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/experiment.hh"
-#include "sim/thread_pool.hh"
+#include "sim/parallel_for.hh"
 
 namespace
 {
@@ -135,22 +134,10 @@ main(int argc, char **argv)
                      grid[k].remoteMissShare * 100.0);
     };
 
-    unsigned jobs = bench::studyJobs();
-    if (jobs == 0) {
-        jobs = std::thread::hardware_concurrency();
-        if (jobs == 0)
-            jobs = 1;
-    }
     std::fprintf(stderr,
                  "[bench] measuring %zu deployment points (jobs=%u)...\n",
-                 total, jobs);
-    if (jobs <= 1) {
-        for (std::size_t k = 0; k < total; ++k)
-            runPoint(k);
-    } else {
-        ThreadPool pool(jobs);
-        pool.parallelFor(total, runPoint);
-    }
+                 total, bench::studyJobs());
+    parallelFor(bench::studyJobs(), total, runPoint);
 
     // --- CSV (deterministic; diffed serial-vs-parallel by the smoke
     // script) ---

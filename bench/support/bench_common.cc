@@ -85,35 +85,6 @@ profilePath(const std::string &study_path)
     return path;
 }
 
-/**
- * Build a longest-first cost hint from a previous run's profile
- * sidecar, if one survives next to the (possibly purged) study cache.
- * Missing sidecar or missing points fall back to the W×P estimate,
- * scaled into the sidecar's wall-seconds unit so the two cost sources
- * stay comparable.
- */
-std::function<double(unsigned, unsigned)>
-costHintFromProfile(const std::string &study_path)
-{
-    std::vector<core::PointProfile> profile;
-    if (!core::loadStudyProfileCsv(profilePath(study_path), profile))
-        return nullptr;
-    double wall_per_wp = 0.0, wp = 0.0;
-    for (const auto &p : profile)
-        wp += static_cast<double>(p.warehouses) * p.processors;
-    for (const auto &p : profile)
-        wall_per_wp += p.wallSeconds;
-    wall_per_wp = wp > 0.0 ? wall_per_wp / wp : 1.0;
-    return [profile = std::move(profile),
-            wall_per_wp](unsigned w, unsigned p) -> double {
-        for (const auto &q : profile) {
-            if (q.warehouses == w && q.processors == p)
-                return q.wallSeconds;
-        }
-        return static_cast<double>(w) * p * wall_per_wp;
-    };
-}
-
 } // namespace
 
 void
@@ -208,14 +179,6 @@ sharedStudy(core::MachineKind machine)
     cfg.warehouses = figureWarehouseGrid();
     cfg.machine = machine;
     cfg.jobs = g_jobs;
-    // A surviving profile sidecar from an earlier --profile run turns
-    // into measured longest-first costs (scheduling only — the study
-    // itself is bit-identical either way).
-    cfg.costHint = costHintFromProfile(path);
-    if (cfg.costHint && g_jobs != 1)
-        std::fprintf(stderr, "[bench] using %s for longest-first "
-                             "dispatch\n",
-                     profilePath(path).c_str());
     cfg.onPoint = [](const core::RunResult &r) {
         if (g_profile) {
             std::fprintf(stderr,

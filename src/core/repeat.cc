@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "sim/logging.hh"
-#include "sim/thread_pool.hh"
 
 namespace odbsim::core
 {
@@ -56,127 +55,16 @@ RepeatedResult::cpuUtil() const
 
 RepeatedResult
 repeatRun(const OltpConfiguration &cfg, const RunKnobs &base_knobs,
-          unsigned repeats, unsigned jobs)
+          unsigned repeats)
 {
     odbsim_assert(repeats >= 1, "need at least one repeat");
     RepeatedResult out;
-    out.runs.resize(repeats);
-    // Replica i's identity is its index: the seed derivation below is
-    // the only coupling between replicas, so any host-side schedule
-    // fills the same slots with the same bits.
-    hostParallelFor(jobs, repeats, [&](std::size_t i) {
+    out.runs.reserve(repeats);
+    for (unsigned i = 0; i < repeats; ++i) {
         RunKnobs knobs = base_knobs;
         knobs.seed = base_knobs.seed + 0x9e3779b9ULL * (i + 1);
-        out.runs[i] = ExperimentRunner::run(cfg, knobs);
-    });
-    return out;
-}
-
-RunResult
-aggregateRuns(const std::vector<RunResult> &runs)
-{
-    odbsim_assert(!runs.empty(), "aggregateRuns needs at least one run");
-    const double n = static_cast<double>(runs.size());
-    auto meanOf = [&](auto get) {
-        double sum = 0.0;
-        for (const auto &r : runs)
-            sum += get(r);
-        return sum / n;
-    };
-    auto meanCount = [&](auto get) {
-        double sum = 0.0;
-        for (const auto &r : runs)
-            sum += static_cast<double>(get(r));
-        return static_cast<std::uint64_t>(sum / n + 0.5);
-    };
-
-    RunResult out = runs.front(); // config, counters, defaults
-    out.measureSeconds = meanOf([](const RunResult &r) {
-        return r.measureSeconds; });
-    out.txnsCommitted = meanCount([](const RunResult &r) {
-        return r.txnsCommitted; });
-    out.tps = meanOf([](const RunResult &r) { return r.tps; });
-    out.ironLawTps = meanOf([](const RunResult &r) { return r.ironLawTps; });
-    out.cpuUtil = meanOf([](const RunResult &r) { return r.cpuUtil; });
-    out.osCycleShare = meanOf([](const RunResult &r) {
-        return r.osCycleShare; });
-    out.osInstrShare = meanOf([](const RunResult &r) {
-        return r.osInstrShare; });
-    out.ipx = meanOf([](const RunResult &r) { return r.ipx; });
-    out.ipxUser = meanOf([](const RunResult &r) { return r.ipxUser; });
-    out.ipxOs = meanOf([](const RunResult &r) { return r.ipxOs; });
-    out.cpi = meanOf([](const RunResult &r) { return r.cpi; });
-    out.cpiUser = meanOf([](const RunResult &r) { return r.cpiUser; });
-    out.cpiOs = meanOf([](const RunResult &r) { return r.cpiOs; });
-    out.mpi = meanOf([](const RunResult &r) { return r.mpi; });
-    out.mpiUser = meanOf([](const RunResult &r) { return r.mpiUser; });
-    out.mpiOs = meanOf([](const RunResult &r) { return r.mpiOs; });
-    out.diskReadKbPerTxn = meanOf([](const RunResult &r) {
-        return r.diskReadKbPerTxn; });
-    out.diskWriteKbPerTxn = meanOf([](const RunResult &r) {
-        return r.diskWriteKbPerTxn; });
-    out.logKbPerTxn = meanOf([](const RunResult &r) {
-        return r.logKbPerTxn; });
-    out.diskReadsPerTxn = meanOf([](const RunResult &r) {
-        return r.diskReadsPerTxn; });
-    out.ctxPerTxn = meanOf([](const RunResult &r) { return r.ctxPerTxn; });
-    out.avgLatencyMs = meanOf([](const RunResult &r) {
-        return r.avgLatencyMs; });
-    out.p95LatencyMs = meanOf([](const RunResult &r) {
-        return r.p95LatencyMs; });
-    out.bufferHitRatio = meanOf([](const RunResult &r) {
-        return r.bufferHitRatio; });
-    out.avgDiskUtil = meanOf([](const RunResult &r) {
-        return r.avgDiskUtil; });
-    out.diskReadLatencyMs = meanOf([](const RunResult &r) {
-        return r.diskReadLatencyMs; });
-    out.busUtil = meanOf([](const RunResult &r) { return r.busUtil; });
-    out.ioqCycles = meanOf([](const RunResult &r) { return r.ioqCycles; });
-    out.coherenceShareOfL3 = meanOf([](const RunResult &r) {
-        return r.coherenceShareOfL3; });
-    out.remoteMissShare = meanOf([](const RunResult &r) {
-        return r.remoteMissShare; });
-    out.linkUtil = meanOf([](const RunResult &r) { return r.linkUtil; });
-    out.txnAborts = meanCount([](const RunResult &r) {
-        return r.txnAborts; });
-    out.txnRetries = meanCount([](const RunResult &r) {
-        return r.txnRetries; });
-    out.lockTimeouts = meanCount([](const RunResult &r) {
-        return r.lockTimeouts; });
-    out.diskTransientErrors = meanCount([](const RunResult &r) {
-        return r.diskTransientErrors; });
-    out.driveFailures = meanCount([](const RunResult &r) {
-        return r.driveFailures; });
-    out.redoReplayedBytes = meanCount([](const RunResult &r) {
-        return r.redoReplayedBytes; });
-    out.mttrMs = meanOf([](const RunResult &r) { return r.mttrMs; });
-    out.tpsPreCrash = meanOf([](const RunResult &r) {
-        return r.tpsPreCrash; });
-    out.tpsPostRecovery = meanOf([](const RunResult &r) {
-        return r.tpsPostRecovery; });
-    out.breakdown.inst = meanOf([](const RunResult &r) {
-        return r.breakdown.inst; });
-    out.breakdown.branch = meanOf([](const RunResult &r) {
-        return r.breakdown.branch; });
-    out.breakdown.tlb = meanOf([](const RunResult &r) {
-        return r.breakdown.tlb; });
-    out.breakdown.tc = meanOf([](const RunResult &r) {
-        return r.breakdown.tc; });
-    out.breakdown.l2 = meanOf([](const RunResult &r) {
-        return r.breakdown.l2; });
-    out.breakdown.l3 = meanOf([](const RunResult &r) {
-        return r.breakdown.l3; });
-    out.breakdown.other = meanOf([](const RunResult &r) {
-        return r.breakdown.other; });
-
-    double wall = 0.0;
-    std::uint64_t events = 0;
-    for (const auto &r : runs) {
-        wall += r.wallSeconds;
-        events += r.eventsFired;
+        out.runs.push_back(ExperimentRunner::run(cfg, knobs));
     }
-    out.wallSeconds = wall;
-    out.eventsFired = events;
     return out;
 }
 

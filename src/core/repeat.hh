@@ -56,31 +56,13 @@ struct RepeatedResult
 
 /**
  * Measure @p cfg @p repeats times with derived seeds (the paper's
- * six-repeat methodology).
- *
- * @p jobs is host-side parallelism across the replicas (see
- * hostParallelFor): 1 (default) runs them serially; 0 uses all host
- * cores; when already on a ThreadPool worker the replicas become
- * nested tasks on that pool. Every replica derives its own RNG stream
- * from the per-replica seed and results are collected by replica
- * index, so runs/means/CIs are bit-identical at any job count.
+ * six-repeat methodology), one replica after another on the calling
+ * thread. Replica i runs with seed base_knobs.seed + 0x9e3779b9 ×
+ * (i + 1) and lands in runs[i].
  */
 RepeatedResult repeatRun(const OltpConfiguration &cfg,
                          const RunKnobs &base_knobs = {},
-                         unsigned repeats = 6,
-                         unsigned jobs = 1);
-
-/**
- * Collapse repeated replicas into one representative RunResult: every
- * double metric (including the CPI breakdown) becomes the mean over
- * the replicas, integer event counts become the rounded mean, the
- * configuration and raw counters are replica 0's, and the host-side
- * profiling fields (wallSeconds, eventsFired) are summed — they
- * measure the cost of producing the aggregate. A pure function of the
- * index-ordered replica vector, so it inherits repeatRun's
- * bit-identical determinism.
- */
-RunResult aggregateRuns(const std::vector<RunResult> &runs);
+                         unsigned repeats = 6);
 
 } // namespace odbsim::core
 

@@ -1,14 +1,13 @@
 #include "core/scaling_study.hh"
 
 #include <algorithm>
+#include <cstdint>
 #include <mutex>
 #include <numeric>
-#include <thread>
 #include <vector>
 
-#include "core/repeat.hh"
 #include "sim/logging.hh"
-#include "sim/thread_pool.hh"
+#include "sim/parallel_for.hh"
 
 namespace odbsim::core
 {
@@ -49,30 +48,13 @@ StudyResult::forProcessors(unsigned p) const
     odbsim_fatal("no series for ", p, " processors in study result");
 }
 
-namespace
-{
-
-/** Map the jobs knob to a worker count for a grid of @p points. */
-unsigned
-resolveJobs(unsigned jobs, std::size_t points)
-{
-    if (jobs == 0) {
-        jobs = std::thread::hardware_concurrency();
-        if (jobs == 0)
-            jobs = 1;
-    }
-    if (points < static_cast<std::size_t>(jobs))
-        jobs = static_cast<unsigned>(points);
-    return jobs;
-}
-
-} // namespace
-
 StudyResult
 ScalingStudy::run(const StudyConfig &cfg)
 {
-    odbsim_assert(!cfg.warehouses.empty() && !cfg.processors.empty(),
-                  "empty study grid");
+    if (cfg.warehouses.empty() || cfg.processors.empty())
+        odbsim_fatal("a study needs at least 1 warehouse count and 1 "
+                     "processor count, got ", cfg.warehouses.size(),
+                     " and ", cfg.processors.size());
     for (const unsigned p : cfg.processors) {
         for (const unsigned w : cfg.warehouses) {
             OltpConfiguration point;
@@ -88,7 +70,7 @@ ScalingStudy::run(const StudyConfig &cfg)
 
     // Pre-size the grid so every point has a fixed slot: results are
     // collected by grid index, never by completion order, which is
-    // what keeps the parallel path bit-identical to the serial one.
+    // what keeps the study bit-identical at every job count.
     StudyResult out;
     out.series.resize(cfg.processors.size());
     for (std::size_t pi = 0; pi < cfg.processors.size(); ++pi) {
@@ -96,70 +78,39 @@ ScalingStudy::run(const StudyConfig &cfg)
         out.series[pi].points.resize(nw);
     }
 
-    const unsigned jobs = resolveJobs(cfg.jobs, total);
+    // Run the points longest-first by warehouses × processors, which
+    // tracks simulated work: the most expensive simulations start
+    // earliest, so no worker is left finishing a large point alone at
+    // the end. The sort is stable, so equal-cost points keep grid
+    // order and the dispatch sequence is fixed for a given config.
+    const auto cost = [&](std::size_t g) {
+        return std::uint64_t{cfg.warehouses[g % nw]} *
+               cfg.processors[g / nw];
+    };
+    std::vector<std::size_t> order(total);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return cost(a) > cost(b);
+                     });
 
     std::mutex progress_mutex;
-    const auto runPoint = [&](std::size_t pi, std::size_t wi) {
+    parallelFor(cfg.jobs, total, [&](std::size_t k) {
+        const std::size_t pi = order[k] / nw;
+        const std::size_t wi = order[k] % nw;
         OltpConfiguration point;
         point.warehouses = cfg.warehouses[wi];
         point.processors = cfg.processors[pi];
         point.machine = cfg.machine;
         point.topology = cfg.topology;
         point.placement = cfg.placement;
-        RunResult r;
-        if (cfg.repeats <= 1) {
-            r = ExperimentRunner::run(point, cfg.knobs);
-        } else {
-            // Hierarchical decomposition: the point fans its seed
-            // replicas out as nested tasks on the worker pool it is
-            // already running on (hostParallelFor detects the pool);
-            // on the serial path the replicas run serially too.
-            const unsigned inner = jobs > 1 ? jobs : 1;
-            RepeatedResult rep =
-                repeatRun(point, cfg.knobs, cfg.repeats, inner);
-            r = aggregateRuns(rep.runs);
-        }
+        RunResult r = ExperimentRunner::run(point, cfg.knobs);
         if (cfg.onPoint) {
             std::lock_guard<std::mutex> lock(progress_mutex);
             cfg.onPoint(r);
         }
         out.series[pi].points[wi] = std::move(r);
-    };
-    if (jobs <= 1) {
-        // Legacy serial path: grid order, no worker threads.
-        for (std::size_t pi = 0; pi < cfg.processors.size(); ++pi)
-            for (std::size_t wi = 0; wi < nw; ++wi)
-                runPoint(pi, wi);
-    } else {
-        // Dispatch the independent points longest-first (LPT): the
-        // most expensive simulations start earliest so no worker is
-        // left finishing a huge point alone at the end. Cost is the
-        // caller's hint when given (e.g. a previous run's profile
-        // sidecar), else the warehouses × processors proxy. Pure
-        // makespan optimization — results land in their grid slot, so
-        // the StudyResult is bit-identical to any other order.
-        std::vector<double> cost(total);
-        for (std::size_t k = 0; k < total; ++k) {
-            const unsigned w = cfg.warehouses[k % nw];
-            const unsigned p = cfg.processors[k / nw];
-            cost[k] = cfg.costHint
-                          ? cfg.costHint(w, p)
-                          : static_cast<double>(w) * p;
-        }
-        std::vector<std::size_t> order(total);
-        std::iota(order.begin(), order.end(), std::size_t{0});
-        // Stable: equal-cost points keep grid order, so the dispatch
-        // sequence is deterministic for a given config.
-        std::stable_sort(order.begin(), order.end(),
-                         [&](std::size_t a, std::size_t b) {
-                             return cost[a] > cost[b];
-                         });
-        ThreadPool pool(jobs);
-        pool.parallelFor(total, [&](std::size_t k) {
-            const std::size_t g = order[k];
-            runPoint(g / nw, g % nw);
-        });
-    }
+    });
     return out;
 }
 

@@ -5,8 +5,8 @@
  * Section 6 piecewise-linear models and pivot points.
  *
  * Grid points are independent simulations (each derives every RNG
- * stream from its own seed), so the sweep can be executed by a worker
- * pool; see StudyConfig::jobs. The StudyResult is bit-identical for
+ * stream from its own seed), so the sweep runs them on several host
+ * threads; see StudyConfig::jobs. The StudyResult is bit-identical for
  * any jobs value.
  */
 
@@ -48,47 +48,24 @@ struct StudyConfig
     /**
      * Host worker threads used to execute grid points concurrently.
      *
-     * 0 = one worker per hardware thread (auto); 1 = the legacy serial
-     * path; N>1 = a fixed pool of N workers. The StudyResult is
-     * bit-identical for every value — points are independent and are
-     * collected by grid index, not completion order. Only the
-     * invocation order of onPoint changes.
+     * 0 = one worker per hardware thread; N = up to N workers, never
+     * more than the grid has points. Points run longest-first by
+     * warehouses × processors; at 1 they run in that order on the
+     * calling thread. The StudyResult is bit-identical for every
+     * value: points are independent and are collected by grid index,
+     * not completion order. Only the invocation order of onPoint
+     * changes.
      */
     unsigned jobs = 1;
     /**
-     * Per-point seed replicas (the paper's six-repeat methodology),
-     * hierarchically decomposed under jobs: each grid point measures
-     * @c repeats replicas with derived seeds and stores their
-     * aggregateRuns() mean. 1 (default) is the legacy single-run path,
-     * byte-for-byte. With jobs > 1 the replicas of a point run as
-     * nested tasks on the same worker pool (repeatRun's nested
-     * fan-out), so the largest grid point no longer floors the sweep's
-     * wall clock; results stay bit-identical at any job count because
-     * replicas are collected by replica index before aggregation.
-     */
-    unsigned repeats = 1;
-    /**
      * Optional progress callback (per finished configuration).
      *
-     * With jobs != 1 it is invoked from worker threads, serialized by
-     * an internal mutex (so plain stdio printing is safe), in
-     * completion order rather than grid order.
+     * Invoked in completion order, not grid order (at jobs = 1 that
+     * is the longest-first run order); with more than one worker it
+     * runs on worker threads, serialized by an internal mutex, so
+     * plain stdio printing is safe.
      */
     std::function<void(const RunResult &)> onPoint;
-    /**
-     * Optional per-point cost estimate (any monotone unit — seconds,
-     * events, …) used to dispatch grid points longest-first on the
-     * parallel path, which minimizes makespan when point costs are
-     * uneven (classic LPT scheduling). Absent, the estimate defaults
-     * to warehouses × processors, which tracks simulated work well.
-     *
-     * Scheduling only: the StudyResult is bit-identical for any hint
-     * (results are collected by grid index). A natural source is a
-     * previous run's `*_profile.csv` sidecar via
-     * loadStudyProfileCsv() — see bench_common's sharedStudy().
-     */
-    std::function<double(unsigned warehouses, unsigned processors)>
-        costHint;
 };
 
 /** @brief All measurements for one processor count. */
@@ -144,12 +121,13 @@ class ScalingStudy
     /**
      * @brief Measure every (warehouses, processors) grid point.
      *
-     * With cfg.jobs != 1 the independent points are dispatched to a
-     * ThreadPool, longest-estimated-first (see StudyConfig::costHint);
-     * results land in their grid slot regardless of completion order,
-     * so the returned StudyResult is bit-identical to the serial path.
-     * A failure (fatal/panic) in any point terminates the process
-     * exactly as in the serial path.
+     * The independent points run longest-first on parallelFor with
+     * cfg.jobs workers; results land in their grid slot regardless of
+     * completion order, so the returned StudyResult is the same at
+     * every job count. An empty grid, or any point with inputs
+     * ExperimentRunner::checkInputs rejects, stops the process with a
+     * one-line fatal message before any point runs. A failure
+     * (fatal/panic) inside a point terminates the process.
      */
     static StudyResult run(const StudyConfig &cfg);
 };

@@ -84,42 +84,6 @@ saveStudyProfileCsv(const StudyResult &study, const std::string &path)
 }
 
 bool
-loadStudyProfileCsv(std::istream &in, std::vector<PointProfile> &out)
-{
-    out.clear();
-    std::string line;
-    if (!std::getline(in, line) || line != profileCsvHeader)
-        return false;
-    while (std::getline(in, line)) {
-        if (line.empty())
-            continue;
-        std::istringstream ss(line);
-        PointProfile p;
-        char c;
-        double events, events_per_sec;
-        ss >> p.processors >> c >> p.warehouses >> c >> p.wallSeconds >>
-            c >> events >> c >> events_per_sec;
-        if (ss.fail()) {
-            out.clear();
-            return false;
-        }
-        p.eventsFired = static_cast<std::uint64_t>(events);
-        out.push_back(p);
-    }
-    return !out.empty();
-}
-
-bool
-loadStudyProfileCsv(const std::string &path,
-                    std::vector<PointProfile> &out)
-{
-    std::ifstream in(path);
-    if (!in)
-        return false;
-    return loadStudyProfileCsv(in, out);
-}
-
-bool
 loadStudyCsv(std::istream &in, StudyResult &out)
 {
     std::string line;

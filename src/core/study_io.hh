@@ -7,10 +7,8 @@
 #ifndef ODBSIM_CORE_STUDY_IO_HH
 #define ODBSIM_CORE_STUDY_IO_HH
 
-#include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <vector>
 
 #include "core/scaling_study.hh"
 
@@ -32,27 +30,6 @@ bool saveStudyCsv(const StudyResult &study, const std::string &path);
 void saveStudyProfileCsv(const StudyResult &study, std::ostream &out);
 bool saveStudyProfileCsv(const StudyResult &study,
                          const std::string &path);
-
-/** One row of a profile sidecar: host-side cost of one grid point. */
-struct PointProfile
-{
-    unsigned processors = 0;
-    unsigned warehouses = 0;
-    double wallSeconds = 0.0;
-    std::uint64_t eventsFired = 0;
-};
-
-/**
- * Parse a profile sidecar written by saveStudyProfileCsv — the
- * measured per-point costs feed StudyConfig::costHint so a re-run
- * dispatches grid points longest-first.
- * @return false on missing file or malformed content (out is left
- *         empty); callers should fall back to the W×P estimate.
- */
-bool loadStudyProfileCsv(std::istream &in,
-                         std::vector<PointProfile> &out);
-bool loadStudyProfileCsv(const std::string &path,
-                         std::vector<PointProfile> &out);
 
 /**
  * Parse a study from CSV written by saveStudyCsv.

@@ -86,50 +86,4 @@ TEST(RepeatRun, CustomMetricExtractor)
     EXPECT_LT(log_kb.mean, 10.0);
 }
 
-TEST(RepeatRun, ParallelReplicasAreBitIdentical)
-{
-    // jobs only changes host scheduling: every replica derives its RNG
-    // streams from its own seed, so serial and parallel execution must
-    // agree bit for bit, replica by replica.
-    OltpConfiguration cfg;
-    cfg.warehouses = 10;
-    cfg.processors = 1;
-    const RepeatedResult serial = repeatRun(cfg, fastKnobs(), 3, 1);
-    const RepeatedResult parallel = repeatRun(cfg, fastKnobs(), 3, 3);
-    ASSERT_EQ(serial.runs.size(), parallel.runs.size());
-    for (std::size_t i = 0; i < serial.runs.size(); ++i) {
-        const RunResult &a = serial.runs[i];
-        const RunResult &b = parallel.runs[i];
-        EXPECT_EQ(a.tps, b.tps) << "replica " << i;
-        EXPECT_EQ(a.txnsCommitted, b.txnsCommitted) << "replica " << i;
-        EXPECT_EQ(a.eventsFired, b.eventsFired) << "replica " << i;
-        EXPECT_EQ(a.cpi, b.cpi) << "replica " << i;
-        EXPECT_EQ(a.mpi, b.mpi) << "replica " << i;
-        EXPECT_EQ(a.avgLatencyMs, b.avgLatencyMs) << "replica " << i;
-    }
-}
-
-TEST(AggregateRuns, MeansCountsAndProfilingSums)
-{
-    OltpConfiguration cfg;
-    cfg.warehouses = 10;
-    cfg.processors = 1;
-    const RepeatedResult rep = repeatRun(cfg, fastKnobs(), 3);
-    const RunResult agg = aggregateRuns(rep.runs);
-    // Doubles become means, profiling fields become sums, and the
-    // configuration identity is replica 0's.
-    EXPECT_NEAR(agg.tps, rep.tps().mean, 1e-9 * rep.tps().mean);
-    EXPECT_EQ(agg.warehouses, rep.runs[0].warehouses);
-    EXPECT_EQ(agg.processors, rep.runs[0].processors);
-    double wall = 0.0;
-    std::uint64_t events = 0;
-    for (const RunResult &r : rep.runs) {
-        wall += r.wallSeconds;
-        events += r.eventsFired;
-    }
-    EXPECT_EQ(agg.wallSeconds, wall);
-    EXPECT_EQ(agg.eventsFired, events);
-    EXPECT_GT(agg.txnsCommitted, 0u);
-}
-
 } // namespace

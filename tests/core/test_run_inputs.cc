@@ -1,6 +1,7 @@
 /**
  * @file
- * Input checks at the core API boundary: a run or study with zero
+ * Input checks at the core API boundary: a study with no warehouse
+ * count or no processor count, a run or study with zero
  * warehouses, a processor count outside [1, maxProcessors], or a
  * sample period that is not a power of two leaving at least 2 sets in
  * every scaled L2 and L3 stops with a one-line fatal message (exit
@@ -94,6 +95,19 @@ TEST(RunInputsDeathTest, StudyRejectsZeroWarehousesBeforeAnyPoint)
     EXPECT_EXIT(ScalingStudy::run(tripwireStudy({10, 0})),
                 testing::ExitedWithCode(1),
                 "fatal: a run needs at least 1 warehouse, got 0");
+}
+
+TEST(RunInputsDeathTest, StudyRejectsAnEmptyGrid)
+{
+    EXPECT_EXIT(ScalingStudy::run(tripwireStudy({})),
+                testing::ExitedWithCode(1),
+                "fatal: a study needs at least 1 warehouse count and 1 "
+                "processor count, got 0 and 1");
+    StudyConfig cfg = tripwireStudy({10});
+    cfg.processors = {};
+    EXPECT_EXIT(ScalingStudy::run(cfg), testing::ExitedWithCode(1),
+                "fatal: a study needs at least 1 warehouse count and 1 "
+                "processor count, got 1 and 0");
 }
 
 TEST(RunInputsDeathTest, RunRejectsBadProcessorCounts)

@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <sstream>
+#include <string>
 
 #include "core/study_io.hh"
 
@@ -145,7 +147,7 @@ TEST(StudyIo, MissingFileFailsCleanly)
     EXPECT_FALSE(loadStudyCsv("/nonexistent/odbsim.csv", out));
 }
 
-TEST(StudyIo, ProfileRoundTripPreservesPointCosts)
+TEST(StudyIo, ProfileWritesOneRowPerPointInGridOrder)
 {
     StudyResult study = sampleStudy();
     double wall = 0.25;
@@ -158,52 +160,32 @@ TEST(StudyIo, ProfileRoundTripPreservesPointCosts)
     }
     std::stringstream buf;
     saveStudyProfileCsv(study, buf);
-    std::vector<PointProfile> out;
-    ASSERT_TRUE(loadStudyProfileCsv(buf, out));
-    ASSERT_EQ(out.size(), 6u);
-    std::size_t i = 0;
+    std::string line;
+    ASSERT_TRUE(std::getline(buf, line));
+    EXPECT_EQ(line,
+              "processors,warehouses,wallSeconds,eventsFired,eventsPerSec");
+    std::size_t rows = 0;
     for (const auto &s : study.series) {
         for (const auto &p : s.points) {
-            SCOPED_TRACE("row " + std::to_string(i));
-            EXPECT_EQ(out[i].processors, p.processors);
-            EXPECT_EQ(out[i].warehouses, p.warehouses);
-            EXPECT_NEAR(out[i].wallSeconds, p.wallSeconds, 1e-6);
-            EXPECT_EQ(out[i].eventsFired, p.eventsFired);
-            ++i;
+            SCOPED_TRACE("row " + std::to_string(rows));
+            ASSERT_TRUE(std::getline(buf, line));
+            std::istringstream row(line);
+            unsigned processors = 0, warehouses = 0;
+            double wall_seconds = 0.0;
+            std::uint64_t fired = 0;
+            char c = 0;
+            row >> processors >> c >> warehouses >> c >> wall_seconds >>
+                c >> fired;
+            ASSERT_FALSE(row.fail()) << line;
+            EXPECT_EQ(processors, p.processors);
+            EXPECT_EQ(warehouses, p.warehouses);
+            EXPECT_NEAR(wall_seconds, p.wallSeconds, 1e-6);
+            EXPECT_EQ(fired, p.eventsFired);
+            ++rows;
         }
     }
-}
-
-TEST(StudyIo, ProfileRejectsStudyCsvHeader)
-{
-    // A profile sidecar path accidentally pointed at a study CSV (or
-    // vice versa) must fail cleanly, not misparse.
-    const StudyResult study = sampleStudy();
-    std::stringstream buf;
-    saveStudyCsv(study, buf);
-    std::vector<PointProfile> out;
-    EXPECT_FALSE(loadStudyProfileCsv(buf, out));
-    EXPECT_TRUE(out.empty());
-}
-
-TEST(StudyIo, ProfileRejectsMalformedRow)
-{
-    const StudyResult study = sampleStudy();
-    std::stringstream buf;
-    saveStudyProfileCsv(study, buf);
-    std::string text = buf.str();
-    text += "4,garbage\n";
-    std::stringstream corrupted(text);
-    std::vector<PointProfile> out;
-    EXPECT_FALSE(loadStudyProfileCsv(corrupted, out));
-    EXPECT_TRUE(out.empty());
-}
-
-TEST(StudyIo, ProfileMissingFileFailsCleanly)
-{
-    std::vector<PointProfile> out;
-    EXPECT_FALSE(loadStudyProfileCsv("/nonexistent/odbsim_profile.csv",
-                                     out));
+    EXPECT_EQ(rows, 6u);
+    EXPECT_FALSE(std::getline(buf, line));
 }
 
 } // namespace

@@ -1,13 +1,16 @@
 /**
  * @file
  * Determinism contract of the parallel scaling-study executor: for the
- * same StudyConfig, jobs=1 (legacy serial path) and jobs=4 (worker
- * pool) must produce bit-identical StudyResults — every grid point is
- * an independent simulation whose RNG streams derive from the per-run
- * seed, and results are collected by grid index, not completion order.
+ * same StudyConfig, jobs = 3, 4 and 0 (one worker per hardware thread)
+ * must produce StudyResults bit-identical to jobs = 1 — every grid
+ * point is an independent simulation whose RNG streams derive from the
+ * per-run seed, and results are collected by grid index, not
+ * completion order.
  */
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "core/scaling_study.hh"
 
@@ -105,27 +108,50 @@ expectBitIdentical(const RunResult &a, const RunResult &b)
     EXPECT_EQ(a.counters.ioqCycles, b.counters.ioqCycles);
 }
 
-TEST(StudyParallel, SerialAndParallelResultsAreBitIdentical)
+/** A study and the number of onPoint calls it made. */
+struct Measured
 {
-    unsigned serial_points = 0;
-    StudyConfig serial_cfg = smallGrid(1);
-    serial_cfg.onPoint = [&](const RunResult &) { ++serial_points; };
-    const StudyResult serial = ScalingStudy::run(serial_cfg);
+    StudyResult study;
+    unsigned points = 0;
+};
 
-    unsigned parallel_points = 0; // onPoint is mutex-serialized
-    StudyConfig parallel_cfg = smallGrid(4);
-    parallel_cfg.onPoint = [&](const RunResult &) { ++parallel_points; };
-    const StudyResult parallel = ScalingStudy::run(parallel_cfg);
+Measured
+measure(unsigned jobs)
+{
+    Measured m;
+    StudyConfig cfg = smallGrid(jobs);
+    cfg.onPoint = [&](const RunResult &) { ++m.points; }; // serialized
+    m.study = ScalingStudy::run(cfg);
+    return m;
+}
 
-    const unsigned total = static_cast<unsigned>(
-        serial_cfg.warehouses.size() * serial_cfg.processors.size());
-    EXPECT_EQ(serial_points, total);
-    EXPECT_EQ(parallel_points, total);
+/** The jobs = 1 study every other job count is compared against. */
+const Measured &
+serialStudy()
+{
+    static const Measured serial = measure(1);
+    return serial;
+}
 
-    ASSERT_EQ(serial.series.size(), parallel.series.size());
-    for (std::size_t si = 0; si < serial.series.size(); ++si) {
-        const auto &s = serial.series[si];
-        const auto &p = parallel.series[si];
+class StudyParallel : public testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P(StudyParallel, SerialAndParallelResultsAreBitIdentical)
+{
+    const Measured &serial = serialStudy();
+    const Measured parallel = measure(GetParam());
+
+    const StudyConfig cfg = smallGrid(1);
+    const unsigned total = static_cast<unsigned>(cfg.warehouses.size() *
+                                                 cfg.processors.size());
+    EXPECT_EQ(serial.points, total);
+    EXPECT_EQ(parallel.points, total);
+
+    ASSERT_EQ(serial.study.series.size(), parallel.study.series.size());
+    for (std::size_t si = 0; si < serial.study.series.size(); ++si) {
+        const auto &s = serial.study.series[si];
+        const auto &p = parallel.study.series[si];
         EXPECT_EQ(s.processors, p.processors);
         ASSERT_EQ(s.points.size(), p.points.size());
         for (std::size_t i = 0; i < s.points.size(); ++i) {
@@ -136,75 +162,11 @@ TEST(StudyParallel, SerialAndParallelResultsAreBitIdentical)
     }
 }
 
-TEST(StudyParallel, CostHintReordersDispatchButNotResults)
-{
-    // Longest-first dispatch is scheduling only: any cost hint — here
-    // one deliberately adversarial (reverse of the W×P default, so the
-    // cheapest points dispatch first) — must yield a StudyResult
-    // bit-identical to the serial path.
-    const StudyResult serial = ScalingStudy::run(smallGrid(1));
-
-    StudyConfig hinted_cfg = smallGrid(4);
-    hinted_cfg.costHint = [](unsigned w, unsigned p) {
-        return 1.0 / (static_cast<double>(w) * p);
-    };
-    const StudyResult hinted = ScalingStudy::run(hinted_cfg);
-
-    ASSERT_EQ(serial.series.size(), hinted.series.size());
-    for (std::size_t si = 0; si < serial.series.size(); ++si) {
-        const auto &s = serial.series[si];
-        const auto &h = hinted.series[si];
-        EXPECT_EQ(s.processors, h.processors);
-        ASSERT_EQ(s.points.size(), h.points.size());
-        for (std::size_t i = 0; i < s.points.size(); ++i) {
-            SCOPED_TRACE("series " + std::to_string(s.processors) +
-                         "P point " + std::to_string(i));
-            expectBitIdentical(s.points[i], h.points[i]);
-        }
-    }
-}
-
-TEST(StudyParallel, HierarchicalRepeatsAreBitIdenticalAcrossJobs)
-{
-    // StudyConfig::repeats decomposes each grid point into per-seed
-    // replicas that run as nested pool tasks when jobs > 1. The
-    // aggregated points must not depend on the job count: points are
-    // collected by grid index and replicas by replica index.
-    StudyConfig serial_cfg = smallGrid(1);
-    serial_cfg.warehouses = {10, 25};
-    serial_cfg.processors = {1};
-    serial_cfg.repeats = 2;
-    const StudyResult serial = ScalingStudy::run(serial_cfg);
-
-    StudyConfig parallel_cfg = serial_cfg;
-    parallel_cfg.jobs = 4;
-    const StudyResult parallel = ScalingStudy::run(parallel_cfg);
-
-    ASSERT_EQ(serial.series.size(), parallel.series.size());
-    for (std::size_t si = 0; si < serial.series.size(); ++si) {
-        const auto &s = serial.series[si];
-        const auto &p = parallel.series[si];
-        ASSERT_EQ(s.points.size(), p.points.size());
-        for (std::size_t i = 0; i < s.points.size(); ++i) {
-            SCOPED_TRACE("repeats point " + std::to_string(i));
-            expectBitIdentical(s.points[i], p.points[i]);
-        }
-    }
-}
-
-TEST(StudyParallel, JobsZeroSelectsHardwareConcurrency)
-{
-    // jobs=0 (auto) must run and produce the same grid shape; the
-    // result equivalence to serial is covered above for jobs=4.
-    StudyConfig cfg = smallGrid(0);
-    cfg.warehouses = {10, 25};
-    cfg.processors = {1};
-    const StudyResult study = ScalingStudy::run(cfg);
-    ASSERT_EQ(study.series.size(), 1u);
-    ASSERT_EQ(study.series[0].points.size(), 2u);
-    EXPECT_EQ(study.series[0].points[0].warehouses, 10u);
-    EXPECT_EQ(study.series[0].points[1].warehouses, 25u);
-    EXPECT_GT(study.series[0].points[0].tps, 0.0);
-}
+// 3 is an odd worker count over the 6-point grid, 4 the usual host,
+// and 0 one worker per hardware thread.
+INSTANTIATE_TEST_SUITE_P(Jobs, StudyParallel, testing::Values(3u, 4u, 0u),
+                         [](const testing::TestParamInfo<unsigned> &info) {
+                             return "jobs" + std::to_string(info.param);
+                         });
 
 } // namespace
