@@ -9,6 +9,7 @@
 #include "analysis/iron_law.hh"
 #include "core/client_table.hh"
 #include "db/database.hh"
+#include "mem/coherence.hh"
 #include "odb/workload.hh"
 #include "os/system.hh"
 #include "sim/logging.hh"
@@ -34,9 +35,10 @@ ExperimentRunner::checkInputs(const OltpConfiguration &cfg,
     if (cfg.processors < 1 || cfg.processors > maxProcessors)
         odbsim_fatal("a run needs 1 to ", maxProcessors,
                      " processors, got ", cfg.processors);
-    checkInputs(makeMachine(cfg.machine, cfg.processors,
-                            knobs.samplePeriod, knobs.seed),
-                cfg.warehouses, knobs);
+    MachinePreset preset = makeMachine(cfg.machine, cfg.processors,
+                                       knobs.samplePeriod, knobs.seed);
+    preset.sys.topology = cfg.topology;
+    checkInputs(preset, cfg.warehouses, knobs);
 }
 
 void
@@ -80,6 +82,18 @@ ExperimentRunner::checkInputs(const MachinePreset &preset,
                          " sets in the ", name, " of ", preset.name,
                          "; it needs at least 2");
     }
+    // The MemorySystem constructor's topology asserts; 0 sockets means
+    // 1 there.
+    const mem::TopologyConfig &topo = preset.sys.topology;
+    if (topo.sockets > mem::maxCoherentCpus)
+        odbsim_fatal("a topology has at most ", mem::maxCoherentCpus,
+                     " sockets, got ", topo.sockets);
+    if (topo.sockets > 1 && hier.sharedL3)
+        odbsim_fatal(preset.name, " shares one on-die L3 and cannot span ",
+                     topo.sockets, " sockets");
+    if (topo.pageShift < 6 || topo.pageShift > 30)
+        odbsim_fatal("the topology page shift must be 6 to 30, got ",
+                     topo.pageShift);
 }
 
 RunResult

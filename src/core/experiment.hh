@@ -133,7 +133,8 @@ class ExperimentRunner
      * @brief Stop with a one-line fatal message unless run() can
      * build @p cfg with @p knobs: cfg.processors in
      * [1, maxProcessors], then every check of the preset overload on
-     * the machine makeMachine() builds for them. run() and
+     * the machine makeMachine() builds for them with cfg.topology.
+     * run() and
      * ScalingStudy::run (for every grid point, before any worker
      * starts) call it on entry, so a bad value never reaches an
      * engine assert.
@@ -147,9 +148,12 @@ class ExperimentRunner
      * positive RunKnobs::measure, a finite, non-negative
      * RunKnobs::warmupPerWarehouseMs whose warm-up (RunKnobs::warmup
      * plus @p warehouses times it) fits in a Tick, a measure window
-     * that still fits in a Tick after that warm-up, and the preset's
+     * that still fits in a Tick after that warm-up, the preset's
      * sample period a power of two that leaves at least 2 sets in its
-     * scaled L2 and L3. runWithPreset() calls it on entry.
+     * scaled L2 and L3, and a topology the memory system can build: at
+     * most mem::maxCoherentCpus sockets, one socket for a shared-L3
+     * (CMP) machine, and a page shift of 6 to 30. runWithPreset()
+     * calls it on entry.
      */
     static void checkInputs(const MachinePreset &preset,
                             unsigned warehouses, const RunKnobs &knobs);

@@ -31,8 +31,6 @@ makeMachine(MachineKind kind, unsigned processors,
         // ServerWorks GC-HE chipset; 26 Ultra320 drives (24 data + 2
         // dedicated redo-log drives).
         sys.core.freqHz = 1.6e9;
-        sys.hierarchy.traceCache = {16 * KiB, 8, 64};
-        sys.hierarchy.l1d = {8 * KiB, 4, 64};
         sys.hierarchy.l2 = {256 * KiB, 8, 64};
         sys.hierarchy.l3 = {1 * MiB, 8, 64};
         sys.bus.cpuFreqHz = 1.6e9;
@@ -50,8 +48,6 @@ makeMachine(MachineKind kind, unsigned processors,
         // 1.5 GHz Itanium2: 3 MB on-die L3, ~50% more bus bandwidth,
         // 16 GB of memory, 34 drives (Section 6.3 / [22]).
         sys.core.freqHz = 1.5e9;
-        sys.hierarchy.traceCache = {16 * KiB, 8, 64};
-        sys.hierarchy.l1d = {16 * KiB, 4, 64};
         sys.hierarchy.l2 = {256 * KiB, 8, 64};
         sys.hierarchy.l3 = {3 * MiB, 12, 64};
         sys.bus.cpuFreqHz = 1.5e9;

@@ -57,7 +57,8 @@ RepeatedResult
 repeatRun(const OltpConfiguration &cfg, const RunKnobs &base_knobs,
           unsigned repeats)
 {
-    odbsim_assert(repeats >= 1, "need at least one repeat");
+    if (repeats == 0)
+        odbsim_fatal("repeatRun needs at least 1 repeat, got 0");
     RepeatedResult out;
     out.runs.reserve(repeats);
     for (unsigned i = 0; i < repeats; ++i) {

@@ -58,7 +58,8 @@ struct RepeatedResult
  * Measure @p cfg @p repeats times with derived seeds (the paper's
  * six-repeat methodology), one replica after another on the calling
  * thread. Replica i runs with seed base_knobs.seed + 0x9e3779b9 ×
- * (i + 1) and lands in runs[i].
+ * (i + 1) and lands in runs[i]. Zero @p repeats stops with a one-line
+ * fatal message.
  */
 RepeatedResult repeatRun(const OltpConfiguration &cfg,
                          const RunKnobs &base_knobs = {},

@@ -61,6 +61,8 @@ ScalingStudy::run(const StudyConfig &cfg)
             point.warehouses = w;
             point.processors = p;
             point.machine = cfg.machine;
+            point.topology = cfg.topology;
+            point.placement = cfg.placement;
             ExperimentRunner::checkInputs(point, cfg.knobs);
         }
     }

@@ -74,7 +74,9 @@ CpuCore::CpuCore(unsigned id, const CoreConfig &cfg,
                  unsigned mem_cpu_id)
     : id_(id), memId_(mem_cpu_id == ~0u ? id : mem_cpu_id), cfg_(cfg),
       clock_(cfg.freqHz), memsys_(memsys),
-      rng_(seed ^ (0x9e3779b97f4a7c15ULL * (id + 1)))
+      rng_(seed ^ (0x9e3779b97f4a7c15ULL * (id + 1))),
+      serviceCycles_{0.0, cfg.costs.l2MissCycles, cfg.costs.l3MissCycles,
+                     cfg.costs.l3MissCycles}
 {
     odbsim_assert(cfg.samplePeriod == memsys.sampleFactor(),
                   "core samplePeriod (", cfg.samplePeriod,
@@ -108,24 +110,21 @@ CpuCore::sampleStream(const RegionStream &s, double exp,
 double
 CpuCore::stallCyclesFor(const mem::AccessResult &res, bool is_code) const
 {
+    // The memory system reports the load- and topology-dependent part
+    // of an L3 miss (bus queueing, plus interconnect hops on
+    // multi-socket machines); at S=1 it is exactly the front-side bus
+    // queueWaitCycles(). It is +0.0 on an L2 or L3 hit, so an L3 hit
+    // adds exactly l2MissCycles and an L2 hit adds +0.0 to the base.
+    static_assert(static_cast<unsigned>(mem::ServicedBy::L2) == 0 &&
+                      static_cast<unsigned>(mem::ServicedBy::L3) == 1 &&
+                      static_cast<unsigned>(mem::ServicedBy::Memory) == 2 &&
+                      static_cast<unsigned>(mem::ServicedBy::RemoteCache) ==
+                          3,
+                  "serviceCycles_ follows ServicedBy's order");
     const StallCosts &c = cfg_.costs;
-    double cycles = is_code ? c.tcMissCycles : c.l2HitCycles;
-    switch (res.servicedBy) {
-      case mem::ServicedBy::L2:
-        break;
-      case mem::ServicedBy::L3:
-        cycles += c.l2MissCycles;
-        break;
-      case mem::ServicedBy::Memory:
-      case mem::ServicedBy::RemoteCache:
-        // The memory system reports the load- and topology-dependent
-        // part (bus queueing, plus interconnect hops on multi-socket
-        // machines); at S=1 it is exactly the front-side bus
-        // queueWaitCycles() this code used to read itself.
-        cycles += c.l3MissCycles + res.memStallExtraCycles;
-        break;
-    }
-    return cycles;
+    const double base = is_code ? c.tcMissCycles : c.l2HitCycles;
+    return base + (serviceCycles_[static_cast<unsigned>(res.servicedBy)] +
+                   res.memStallExtraCycles);
 }
 
 ExecResult
@@ -213,32 +212,33 @@ CpuCore::execute(const WorkItem &item, Tick now, double cycle_scale)
         n_data = 0;
 
     if (n_data) {
-        const RegionStream priv =
-            makeStream(item.privateBase, item.privateBytes, stride);
-        const RegionStream shared =
-            makeStream(item.sharedBase, item.sharedBytes, stride);
-        const RegionStream frame = makeStream(
-            item.frameAddr,
-            std::max<std::uint32_t>(item.frameBytes, lineBytes), stride);
+        // The private, shared and frame streams, by pick index. The
+        // frame stream's exponent is 1.0: pure identity.
+        const RegionStream streams[3] = {
+            makeStream(item.privateBase, item.privateBytes, stride),
+            makeStream(item.sharedBase, item.sharedBytes, stride),
+            makeStream(item.frameAddr,
+                       std::max<std::uint32_t>(item.frameBytes, lineBytes),
+                       stride)};
+        const double exps[3] = {cfg_.dataHotExponent, cfg_.dataHotExponent,
+                                1.0};
+        const double write_fractions[3] = {cfg_.privateWriteFraction, 0.10,
+                                           cfg_.frameWriteFraction};
         while (n_data) {
             const std::size_t n = static_cast<std::size_t>(
                 std::min<std::uint64_t>(n_data, refBatch));
             for (std::size_t j = 0; j < n; ++j) {
-                double pick = rng_.uniform() * total_weight;
-                Addr addr;
-                bool write;
-                if ((pick -= wp) < 0.0) {
-                    addr = sampleStream(priv, cfg_.dataHotExponent, stride);
-                    write = rng_.chance(cfg_.privateWriteFraction);
-                } else if ((pick -= ws) < 0.0) {
-                    addr =
-                        sampleStream(shared, cfg_.dataHotExponent, stride);
-                    write = rng_.chance(0.10);
-                } else {
-                    // The frame stream's exponent is 1.0: pure identity.
-                    addr = sampleStream(frame, 1.0, stride);
-                    write = rng_.chance(cfg_.frameWriteFraction);
-                }
+                // The stream is private while the pick is below wp,
+                // shared while it is below wp + ws, else frame. Counting
+                // the differences that are not negative picks it
+                // without a branch; b <= a, so a < 0 counts 0.
+                const double pick = rng_.uniform() * total_weight;
+                const double a = pick - wp;
+                const double b = a - ws;
+                const unsigned which = (a >= 0.0) + (b >= 0.0);
+                const Addr addr =
+                    sampleStream(streams[which], exps[which], stride);
+                const bool write = rng_.chance(write_fractions[which]);
                 batch[j] = {addr, write ? mem::AccessKind::DataWrite
                                         : mem::AccessKind::DataRead};
             }

@@ -131,6 +131,8 @@ class CpuCore
     Addr sampleStream(const RegionStream &s, double exp,
                       std::uint64_t stride);
 
+    /** Stall cycles of one reference: the base cost of its kind plus
+     *  the serviceCycles_ entry and the memory system's extra cycles. */
     double stallCyclesFor(const mem::AccessResult &res, bool is_code) const;
 
     unsigned id_;
@@ -139,6 +141,10 @@ class CpuCore
     ClockDomain clock_;
     mem::MemorySystem &memsys_;
     Rng rng_;
+    /** Fixed stall cycles beyond the base cost, by mem::ServicedBy: an
+     *  L2 hit, an L3 hit, and an L3 miss served by memory or by a
+     *  remote cache. */
+    double serviceCycles_[4];
     CpuCounters counters_;
 
     /** Fractional-sample carries to avoid rounding bias. */

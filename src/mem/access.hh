@@ -60,7 +60,8 @@ struct AccessResult
      * on a multi-socket topology — the interconnect hop latency and
      * link queueing of a remote access. On a single-socket machine
      * this is exactly the front-side bus queueWaitCycles() the CPU
-     * model historically read itself.
+     * model historically read itself. It stays +0.0 on an L2 or L3
+     * hit, which lets the CPU model add it without a branch.
      */
     double memStallExtraCycles = 0.0;
 

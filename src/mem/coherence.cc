@@ -1,9 +1,5 @@
 #include "mem/coherence.hh"
 
-#include <bit>
-
-#include "sim/logging.hh"
-
 namespace odbsim::mem
 {
 
@@ -20,61 +16,6 @@ CoherenceDirectory::reserve(std::size_t lines)
     table_.reserve(lines);
 }
 
-CoherenceOutcome
-CoherenceDirectory::onFill(unsigned cpu, Addr line_addr, bool is_write)
-{
-    CoherenceOutcome out;
-    LineState &e = table_.findOrInsert(line_addr);
-    const std::uint32_t self = 1u << cpu;
-
-    if (e.modifiedOwner >= 0 &&
-        static_cast<unsigned>(e.modifiedOwner) != cpu) {
-        out.remoteDirty = true;
-        out.remoteOwner = static_cast<unsigned>(e.modifiedOwner);
-        ++coherenceMisses_;
-    }
-
-    if (is_write) {
-        const std::uint32_t remote = e.sharers & ~self;
-        out.invalidateMask = remote;
-        invalidations_ += std::popcount(remote);
-        e.sharers = self;
-        e.modifiedOwner = static_cast<std::int16_t>(cpu);
-    } else {
-        // A remote dirty copy is downgraded to shared by the fill.
-        if (out.remoteDirty)
-            e.modifiedOwner = -1;
-        e.sharers |= self;
-    }
-    return out;
-}
-
-std::uint32_t
-CoherenceDirectory::onWriteHit(unsigned cpu, Addr line_addr)
-{
-    LineState &e = table_.findOrInsert(line_addr);
-    const std::uint32_t self = 1u << cpu;
-    const std::uint32_t remote = e.sharers & ~self;
-    invalidations_ += std::popcount(remote);
-    e.sharers = self;
-    e.modifiedOwner = static_cast<std::int16_t>(cpu);
-    return remote;
-}
-
-void
-CoherenceDirectory::touchSolo(Addr line_addr, bool is_write)
-{
-    odbsim_assert(numCpus_ == 1,
-                  "touchSolo is only valid on a single-CPU directory");
-    LineState &e = table_.findOrInsert(line_addr);
-    if (is_write) {
-        e.sharers = 1u;
-        e.modifiedOwner = 0;
-    } else {
-        e.sharers |= 1u;
-    }
-}
-
 SnoopState
 CoherenceDirectory::snoop(Addr line_addr) const
 {
@@ -82,22 +23,6 @@ CoherenceDirectory::snoop(Addr line_addr) const
     if (!s)
         return SnoopState{};
     return SnoopState{true, s->sharers, s->modifiedOwner};
-}
-
-void
-CoherenceDirectory::onEviction(unsigned cpu, Addr line_addr)
-{
-    const std::size_t i = table_.findIndex(line_addr);
-    if (i == Table::npos)
-        return;
-    LineState &e = table_.valueAt(i);
-    e.sharers &= ~(1u << cpu);
-    if (e.modifiedOwner >= 0 &&
-        static_cast<unsigned>(e.modifiedOwner) == cpu) {
-        e.modifiedOwner = -1;
-    }
-    if (e.sharers == 0 && e.modifiedOwner < 0)
-        table_.eraseAt(i);
 }
 
 void

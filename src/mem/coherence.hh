@@ -31,6 +31,7 @@
 #include <limits>
 
 #include "sim/flat_map.hh"
+#include "sim/logging.hh"
 #include "sim/types.hh"
 
 namespace odbsim::mem
@@ -165,11 +166,98 @@ class CoherenceDirectory
     static_assert(maxCoherentCpus <= 32,
                   "sharers bitmask is 32 bits wide");
 
+    /**
+     * Set bits of @p mask: std::popcount without a library call. The
+     * baseline x86-64 ISA has no popcount instruction, so std::popcount
+     * there calls libgcc on every SMP write hit and write fill.
+     */
+    static unsigned
+    sharerCount(std::uint32_t mask)
+    {
+        mask -= (mask >> 1) & 0x55555555u;
+        mask = (mask & 0x33333333u) + ((mask >> 2) & 0x33333333u);
+        return (((mask + (mask >> 4)) & 0x0f0f0f0fu) * 0x01010101u) >> 24;
+    }
+
     unsigned numCpus_;
     Table table_;
     std::uint64_t coherenceMisses_ = 0;
     std::uint64_t invalidations_ = 0;
 };
+
+// The per-reference entry points are inline: the memory system's
+// access path calls them on every write hit, L3 fill and eviction.
+
+inline CoherenceOutcome
+CoherenceDirectory::onFill(unsigned cpu, Addr line_addr, bool is_write)
+{
+    CoherenceOutcome out;
+    LineState &e = table_.findOrInsert(line_addr);
+    const std::uint32_t self = 1u << cpu;
+
+    if (e.modifiedOwner >= 0 &&
+        static_cast<unsigned>(e.modifiedOwner) != cpu) {
+        out.remoteDirty = true;
+        out.remoteOwner = static_cast<unsigned>(e.modifiedOwner);
+        ++coherenceMisses_;
+    }
+
+    if (is_write) {
+        const std::uint32_t remote = e.sharers & ~self;
+        out.invalidateMask = remote;
+        invalidations_ += sharerCount(remote);
+        e.sharers = self;
+        e.modifiedOwner = static_cast<std::int16_t>(cpu);
+    } else {
+        // A remote dirty copy is downgraded to shared by the fill.
+        if (out.remoteDirty)
+            e.modifiedOwner = -1;
+        e.sharers |= self;
+    }
+    return out;
+}
+
+inline std::uint32_t
+CoherenceDirectory::onWriteHit(unsigned cpu, Addr line_addr)
+{
+    LineState &e = table_.findOrInsert(line_addr);
+    const std::uint32_t self = 1u << cpu;
+    const std::uint32_t remote = e.sharers & ~self;
+    invalidations_ += sharerCount(remote);
+    e.sharers = self;
+    e.modifiedOwner = static_cast<std::int16_t>(cpu);
+    return remote;
+}
+
+inline void
+CoherenceDirectory::touchSolo(Addr line_addr, bool is_write)
+{
+    odbsim_assert(numCpus_ == 1,
+                  "touchSolo is only valid on a single-CPU directory");
+    LineState &e = table_.findOrInsert(line_addr);
+    if (is_write) {
+        e.sharers = 1u;
+        e.modifiedOwner = 0;
+    } else {
+        e.sharers |= 1u;
+    }
+}
+
+inline void
+CoherenceDirectory::onEviction(unsigned cpu, Addr line_addr)
+{
+    const std::size_t i = table_.findIndex(line_addr);
+    if (i == Table::npos)
+        return;
+    LineState &e = table_.valueAt(i);
+    e.sharers &= ~(1u << cpu);
+    if (e.modifiedOwner >= 0 &&
+        static_cast<unsigned>(e.modifiedOwner) == cpu) {
+        e.modifiedOwner = -1;
+    }
+    if (e.sharers == 0 && e.modifiedOwner < 0)
+        table_.eraseAt(i);
+}
 
 } // namespace odbsim::mem
 

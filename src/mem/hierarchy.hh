@@ -25,6 +25,7 @@
 #ifndef ODBSIM_MEM_HIERARCHY_HH
 #define ODBSIM_MEM_HIERARCHY_HH
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -43,13 +44,6 @@ namespace odbsim::mem
 /** Geometry of one CPU's caches (defaults: Xeon MP of the study). */
 struct HierarchyConfig
 {
-    /** Kept for reporting; the trace cache / L1D / TLB are modeled
-     *  statistically in the CPU core. @{ */
-    CacheGeometry traceCache{16 * KiB, 8, 64};
-    CacheGeometry l1d{8 * KiB, 4, 64};
-    std::uint32_t tlbEntries = 64;
-    std::uint32_t tlbAssoc = 4;
-    /** @} */
     CacheGeometry l2{256 * KiB, 8, 64};  ///< Per-CPU L2 geometry.
     CacheGeometry l3{1 * MiB, 8, 64};    ///< L3 geometry (per CPU or shared).
     /**
@@ -87,6 +81,20 @@ struct MemCounters
     l2Accesses() const
     {
         return codeFetches + dataReads + dataWrites;
+    }
+
+    /** The reference counter of @p kind, picked by table lookup. */
+    std::uint64_t &
+    references(AccessKind kind)
+    {
+        static_assert(static_cast<unsigned>(AccessKind::CodeFetch) == 0 &&
+                          static_cast<unsigned>(AccessKind::DataRead) == 1 &&
+                          static_cast<unsigned>(AccessKind::DataWrite) == 2,
+                      "byKind follows AccessKind's order");
+        static constexpr std::uint64_t MemCounters::*byKind[] = {
+            &MemCounters::codeFetches, &MemCounters::dataReads,
+            &MemCounters::dataWrites};
+        return this->*byKind[static_cast<unsigned>(kind)];
     }
 };
 
@@ -153,7 +161,13 @@ class CpuCacheHierarchy
     void resetCounters();
 
     /** Invalidate one line in both levels. */
-    void invalidateLine(Addr line_addr);
+    void
+    invalidateLine(Addr line_addr)
+    {
+        const Addr c = compress(line_addr);
+        l2_.invalidate(c);
+        l3_.invalidate(c);
+    }
 
     /** Drop all cached state. */
     void flush();
@@ -367,7 +381,11 @@ class MemorySystem
                                        std::uint32_t factor,
                                        const char *name);
 
-    /** The per-reference body shared by access() and AccessEpoch. */
+    /**
+     * The per-reference body shared by access() and AccessEpoch. It
+     * and the tag-store and directory calls it makes are inline, so
+     * the compiler builds the whole path through them as one function.
+     */
     AccessResult accessImpl(CpuCacheHierarchy &h, MemCounters &ctr,
                             Addr addr, AccessKind kind);
 
@@ -433,6 +451,148 @@ class MemorySystem
     std::uint64_t remoteMisses_ = 0;
     /** @} */
 };
+
+inline AccessResult
+MemorySystem::accessImpl(CpuCacheHierarchy &h, MemCounters &ctr,
+                         Addr addr, AccessKind kind)
+{
+    const unsigned cpu_id = h.cpuId_;
+    const std::uint64_t weight = weight_;
+    const Addr line = addr & lineMask_;
+    const bool is_write = kind == AccessKind::DataWrite;
+
+    AccessResult res;
+    ctr.references(kind) += weight;
+
+    // The scaled tag stores index on the compacted sampled-line space.
+    const Addr caddr = h.compress(addr);
+
+    // Dirty victims from L2 are assumed to hit L3 (tag-store
+    // approximation); only L3 victims produce bus writebacks.
+    if (h.l2_.access(caddr, is_write).hit) {
+        if (is_write) {
+            if (singleCpu_) {
+                // P=1 fast path: onWriteHit's remote mask is provably
+                // empty (sharers can only be bit 0), so only the
+                // directory's tracking state needs to advance.
+                dirFor(line).touchSolo(line, true);
+            } else {
+                std::uint32_t mask = dirFor(line).onWriteHit(cpu_id, line);
+                while (mask) {
+                    const unsigned j =
+                        static_cast<unsigned>(std::countr_zero(mask));
+                    mask &= mask - 1;
+                    cpus_[j]->invalidateLine(line);
+                }
+            }
+        }
+        res.servicedBy = ServicedBy::L2;
+        return res;
+    }
+    ctr.l2Misses += weight;
+
+    SetAssocCache &l3 = sharedL3_ ? *sharedL3_ : h.l3_;
+    const CacheAccessResult l3res = l3.access(caddr, is_write);
+    if (l3res.evicted) {
+        // Map the victim back to its original (uncompressed) line
+        // address for the directory.
+        const Addr victim_line = h.decompressLine(l3res.evictedLineAddr);
+        if (sharedL3_) {
+            // Inclusive shared L3: evicting a line removes every
+            // core's L2 copy and its directory state.
+            for (auto &c : cpus_)
+                c->l2_.invalidate(l3res.evictedLineAddr);
+            directory_.onDmaFill(victim_line);
+        } else {
+            dirFor(victim_line).onEviction(cpu_id, victim_line);
+        }
+        if (l3res.evictedDirty) {
+            if (!multiSocket_) {
+                bus_.addLineTransfers(static_cast<double>(weight));
+            } else {
+                // The writeback lands in the victim's home memory and
+                // crosses the interconnect when that home is remote.
+                const unsigned vhome = homeSocket(victim_line);
+                buses_[vhome]->addLineTransfers(
+                    static_cast<double>(weight));
+                if (vhome != socketOf(cpu_id))
+                    link_->addLineTransfers(static_cast<double>(weight));
+            }
+        }
+    }
+    if (l3res.hit) {
+        if (singleCpu_) {
+            // P=1: a fill by the only CPU can neither observe a remote
+            // dirty copy nor need invalidations; track the line only.
+            dirFor(line).touchSolo(line, is_write);
+            res.servicedBy = ServicedBy::L3;
+            return res;
+        }
+        // In CMP mode an L3 hit may still be a coherence transfer:
+        // another core wrote the line and the modified copy is served
+        // on-die (cheap), but it counts as a HITM event. Remote copies
+        // to invalidate live only in L2s (the L3 is shared); in SMP
+        // mode the whole remote stack is invalidated.
+        const CoherenceOutcome hit_out =
+            dirFor(line).onFill(cpu_id, line, is_write);
+        std::uint32_t mask = hit_out.invalidateMask;
+        while (mask) {
+            const unsigned j =
+                static_cast<unsigned>(std::countr_zero(mask));
+            mask &= mask - 1;
+            if (sharedL3_)
+                cpus_[j]->l2_.invalidate(caddr);
+            else
+                cpus_[j]->invalidateLine(line);
+        }
+        if (hit_out.remoteDirty) {
+            if (sharedL3_) {
+                cpus_[hit_out.remoteOwner]->l2_.invalidate(caddr);
+                ctr.coherenceMisses += weight;
+            } else {
+                cpus_[hit_out.remoteOwner]->invalidateLine(line);
+            }
+        }
+        res.servicedBy = ServicedBy::L3;
+        return res;
+    }
+    ctr.l3Misses += weight;
+
+    if (multiSocket_)
+        return missMultiSocket(h, ctr, line, is_write, res);
+
+    if (singleCpu_) {
+        // P=1: an L3 miss is always serviced by memory — remoteDirty
+        // is impossible, so no cache-to-cache transfer or extra
+        // writeback can occur.
+        directory_.touchSolo(line, is_write);
+        res.servicedBy = ServicedBy::Memory;
+        res.memStallExtraCycles = bus_.queueWaitCycles();
+        bus_.addLineTransfers(static_cast<double>(weight));
+        return res;
+    }
+
+    const CoherenceOutcome out = directory_.onFill(cpu_id, line, is_write);
+    std::uint32_t mask = out.invalidateMask;
+    while (mask) {
+        const unsigned j = static_cast<unsigned>(std::countr_zero(mask));
+        mask &= mask - 1;
+        cpus_[j]->invalidateLine(line);
+    }
+    if (out.remoteDirty) {
+        // Cache-to-cache transfer: the dirty copy leaves the remote
+        // cache and its writeback also crosses the bus.
+        cpus_[out.remoteOwner]->invalidateLine(line);
+        ctr.coherenceMisses += weight;
+        bus_.addLineTransfers(static_cast<double>(weight));
+        res.servicedBy = ServicedBy::RemoteCache;
+    } else {
+        res.servicedBy = ServicedBy::Memory;
+    }
+    res.memStallExtraCycles = bus_.queueWaitCycles();
+    bus_.addLineTransfers(static_cast<double>(weight));
+    return res;
+}
 
 inline AccessResult
 MemorySystem::AccessEpoch::access(Addr addr, AccessKind kind)

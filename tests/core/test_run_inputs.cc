@@ -11,7 +11,10 @@
  * hang the run (a NaN per-warehouse warm-up), silently change it (a
  * negative one wraps the unsigned warm-up; one past a Tick overflows)
  * or measure nothing (a zero measure window, or one whose end wraps
- * past the last Tick).
+ * past the last Tick). A topology the memory system cannot build (a
+ * shared-L3 CMP on two sockets, more sockets than the directories'
+ * sharer masks hold, a page shift outside [6, 30]) stops likewise, as
+ * does repeatRun with zero repeats.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +27,7 @@
 
 #include "core/experiment.hh"
 #include "core/machine.hh"
+#include "core/repeat.hh"
 #include "core/scaling_study.hh"
 
 namespace
@@ -282,6 +286,65 @@ TEST(RunInputsDeathTest, StudyRejectsAnOverflowingMeasureBeforeAnyPoint)
     cfg.jobs = 2;
     EXPECT_EXIT(ScalingStudy::run(cfg), testing::ExitedWithCode(1),
                 measureOverflow);
+}
+
+/** A topology the memory system cannot build, and its message. */
+struct BadTopology
+{
+    MachineKind machine;
+    unsigned sockets;
+    unsigned pageShift;
+    const char *message;
+};
+
+const BadTopology badTopologies[] = {
+    {MachineKind::CmpQuad, 2, 12,
+     "fatal: cmp-quad shares one on-die L3 and cannot span 2 sockets"},
+    {MachineKind::XeonQuadMp, 64, 12,
+     "fatal: a topology has at most 32 sockets, got 64"},
+    {MachineKind::XeonQuadMp, 1, 3,
+     "fatal: the topology page shift must be 6 to 30, got 3"},
+};
+
+OltpConfiguration
+onTopology(const BadTopology &bad)
+{
+    OltpConfiguration cfg = point(10, 4);
+    cfg.machine = bad.machine;
+    cfg.topology.sockets = bad.sockets;
+    cfg.topology.pageShift = bad.pageShift;
+    return cfg;
+}
+
+TEST(RunInputsDeathTest, RunRejectsTopologiesTheMemorySystemCannotBuild)
+{
+    for (const BadTopology &bad : badTopologies) {
+        SCOPED_TRACE(bad.message);
+        EXPECT_EXIT(ExperimentRunner::run(onTopology(bad), fastKnobs()),
+                    testing::ExitedWithCode(1), bad.message);
+    }
+}
+
+TEST(RunInputsDeathTest, StudyRejectsABadTopologyBeforeAnyPoint)
+{
+    for (const BadTopology &bad : badTopologies) {
+        SCOPED_TRACE(bad.message);
+        StudyConfig cfg = tripwireStudy({10});
+        cfg.machine = bad.machine;
+        cfg.processors = {1, 4};
+        cfg.topology.sockets = bad.sockets;
+        cfg.topology.pageShift = bad.pageShift;
+        cfg.jobs = 2;
+        EXPECT_EXIT(ScalingStudy::run(cfg), testing::ExitedWithCode(1),
+                    bad.message);
+    }
+}
+
+TEST(RunInputsDeathTest, RepeatRunRejectsZeroRepeats)
+{
+    EXPECT_EXIT(repeatRun(point(10), fastKnobs(), 0),
+                testing::ExitedWithCode(1),
+                "fatal: repeatRun needs at least 1 repeat, got 0");
 }
 
 } // namespace

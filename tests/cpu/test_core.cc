@@ -333,9 +333,12 @@ struct BatchRun
  * generate 1 reference per 1024 instructions at dataRateScale 1, so an
  * item's (instructions, scale) fix its stream counts exactly; 512
  * instructions leave a half-reference code carry for the next item.
+ * With @p zero_weights, each item gives one or two of its three data
+ * streams (private, shared, frame) a weight of zero, so the pick runs
+ * with empty ranges at either end and in the middle.
  */
 BatchRun
-runBatchMix(unsigned p)
+runBatchMix(unsigned p, bool zero_weights = false)
 {
     struct Spec
     {
@@ -400,6 +403,17 @@ runBatchMix(unsigned p)
             wi.frameAddr = 0x9'0000'0000 + Addr{i % 3} * 8 * KiB;
             wi.frameBytes = 8 * KiB;
             wi.frameWeight = 0.25f;
+            if (zero_weights) {
+                constexpr float weights[6][3] = {
+                    {0.0f, 0.5f, 0.25f}, {1.0f, 0.0f, 0.25f},
+                    {1.0f, 0.5f, 0.0f},  {0.0f, 0.0f, 0.25f},
+                    {0.0f, 0.5f, 0.0f},  {1.0f, 0.0f, 0.0f},
+                };
+                const float *w = weights[(i + c) % 6];
+                wi.privateWeight = w[0];
+                wi.sharedWeight = w[1];
+                wi.frameWeight = w[2];
+            }
             // Exact references into a region every core shares, some
             // of them writes: 0 to 3 refs of 1 to 3 sampled lines.
             std::uint64_t exact_lines = 0;
@@ -452,19 +466,27 @@ TEST(CpuCore, BatchedGenerationKeepsDrawAndAccessOrder)
     // Region-stream references are generated in batches before they
     // are simulated. The digests below were recorded by running this
     // body against the per-reference generator the batches replaced;
-    // any reordered draw, access or cycle sum changes them.
+    // any reordered draw, access or cycle sum changes them. The
+    // zero-weight digests were recorded against the pick that tested
+    // the private and then the shared difference in turn.
     struct Expected
     {
         unsigned p;
+        bool zeroWeights;
         std::uint64_t exec, cpu, mem;
     };
     for (const Expected &e :
-         {Expected{1, 0xd1e4099e20ed3828, 0xe9e3428b3bef1b39,
+         {Expected{1, false, 0xd1e4099e20ed3828, 0xe9e3428b3bef1b39,
                    0xef4ff8b113c5223a},
-          Expected{4, 0x2cdce95f26a3c99a, 0xda28a0fef113119d,
-                   0xa4d248f8546ae3c4}}) {
-        SCOPED_TRACE(testing::Message() << "P=" << e.p);
-        const BatchRun run = runBatchMix(e.p);
+          Expected{4, false, 0x2cdce95f26a3c99a, 0xda28a0fef113119d,
+                   0xa4d248f8546ae3c4},
+          Expected{1, true, 0xe449108e1086cbc6, 0xdaa53399857fd3f2,
+                   0x9e8e94ee0287134d},
+          Expected{4, true, 0x9af32b63e32203af, 0xde2515287997d5c7,
+                   0x1c6c47421b82b3bf}}) {
+        SCOPED_TRACE(testing::Message() << "P=" << e.p << " zero weights "
+                                        << e.zeroWeights);
+        const BatchRun run = runBatchMix(e.p, e.zeroWeights);
         // The items cover empty, single, just-below, exactly-one,
         // just-above and several-batch streams of both kinds.
         for (const std::uint64_t n : {0u, 1u, 63u, 64u, 65u, 200u}) {

@@ -347,8 +347,11 @@ TEST_P(RecencyListMatchesClockLru, SameResultsOnSeededStreams)
     }
 }
 
+// 3, 5, 9 and 13 ways leave padding ways in the set's stride of 8 or
+// 16 tags.
 INSTANTIATE_TEST_SUITE_P(Ways, RecencyListMatchesClockLru,
-                         ::testing::Values(1u, 2u, 4u, 8u, 12u, 16u));
+                         ::testing::Values(1u, 2u, 3u, 4u, 5u, 8u, 9u, 12u,
+                                           13u, 16u));
 
 TEST(SetAssocCacheDeathTest, RejectsMoreWaysThanTheRecencyListHolds)
 {

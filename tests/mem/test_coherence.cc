@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "mem/coherence.hh"
+#include "sim/rng.hh"
 
 namespace
 {
@@ -48,6 +51,33 @@ TEST(CoherenceDirectory, WriteFillInvalidatesSharers)
     EXPECT_EQ(s.sharers, 0b100u);
     EXPECT_EQ(s.modifiedOwner, 2);
     EXPECT_EQ(dir.invalidationsSent(), 2u);
+}
+
+TEST(CoherenceDirectory, WritesCountEveryRemoteSharerOfAFullMask)
+{
+    // Sharer masks over all 32 CPUs: the invalidation count of a write
+    // fill or write hit is the popcount of the other sharers.
+    CoherenceDirectory dir(maxCoherentCpus);
+    Rng rng(32);
+    std::uint64_t want = 0;
+    for (Addr k = 0; k < 2000; ++k) {
+        const Addr l = 0x40000 + k * 64;
+        const auto mask = static_cast<std::uint32_t>(
+            k == 0 ? ~0ull : k == 1 ? 0ull : rng.next());
+        for (unsigned c = 0; c < maxCoherentCpus; ++c) {
+            if (mask >> c & 1)
+                dir.onFill(c, l, false);
+        }
+        const auto writer = static_cast<unsigned>(k % maxCoherentCpus);
+        const std::uint32_t remote = mask & ~(1u << writer);
+        want += std::popcount(remote);
+        if (k % 2 == 0) {
+            EXPECT_EQ(dir.onFill(writer, l, true).invalidateMask, remote);
+        } else {
+            EXPECT_EQ(dir.onWriteHit(writer, l), remote);
+        }
+        ASSERT_EQ(dir.invalidationsSent(), want) << "line " << k;
+    }
 }
 
 TEST(CoherenceDirectory, RemoteDirtyReadIsCoherenceMiss)
