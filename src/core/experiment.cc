@@ -1,5 +1,6 @@
 #include "core/experiment.hh"
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cmath>
@@ -38,12 +39,13 @@ ExperimentRunner::checkInputs(const OltpConfiguration &cfg,
     MachinePreset preset = makeMachine(cfg.machine, cfg.processors,
                                        knobs.samplePeriod, knobs.seed);
     preset.sys.topology = cfg.topology;
-    checkInputs(preset, cfg.warehouses, knobs);
+    checkInputs(preset, cfg.warehouses, knobs, cfg.placement);
 }
 
 void
 ExperimentRunner::checkInputs(const MachinePreset &preset,
-                              unsigned warehouses, const RunKnobs &knobs)
+                              unsigned warehouses, const RunKnobs &knobs,
+                              const os::PlacementConfig &placement)
 {
     if (warehouses == 0)
         odbsim_fatal("a run needs at least 1 warehouse, got 0");
@@ -94,6 +96,20 @@ ExperimentRunner::checkInputs(const MachinePreset &preset,
     if (topo.pageShift < 6 || topo.pageShift > 30)
         odbsim_fatal("the topology page shift must be 6 to 30, got ",
                      topo.pageShift);
+    // OdbWorkload::start's island geometry asserts, with its clamp.
+    if (placement.policy == os::PlacementPolicy::Island) {
+        const unsigned sockets = std::max(topo.sockets, 1u);
+        const unsigned per_island =
+            std::clamp(placement.islandSockets, 1u, sockets);
+        if (sockets % per_island != 0)
+            odbsim_fatal("an Island placement of ", per_island,
+                         " sockets per island does not divide the ",
+                         sockets, " sockets");
+        if (warehouses < sockets / per_island)
+            odbsim_fatal("an Island placement of ", sockets / per_island,
+                         " islands needs at least as many warehouses, "
+                         "got ", warehouses);
+    }
 }
 
 RunResult
@@ -102,7 +118,7 @@ ExperimentRunner::runWithPreset(const MachinePreset &preset,
                                 const RunKnobs &knobs,
                                 const os::PlacementConfig &placement)
 {
-    checkInputs(preset, warehouses, knobs);
+    checkInputs(preset, warehouses, knobs, placement);
     const auto wall_start = std::chrono::steady_clock::now();
 
     // Knob-level fault plan: copied into the machine description so

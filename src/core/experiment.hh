@@ -133,11 +133,10 @@ class ExperimentRunner
      * @brief Stop with a one-line fatal message unless run() can
      * build @p cfg with @p knobs: cfg.processors in
      * [1, maxProcessors], then every check of the preset overload on
-     * the machine makeMachine() builds for them with cfg.topology.
-     * run() and
-     * ScalingStudy::run (for every grid point, before any worker
-     * starts) call it on entry, so a bad value never reaches an
-     * engine assert.
+     * the machine makeMachine() builds for them with cfg.topology
+     * and cfg.placement. run() and ScalingStudy::run (for every grid
+     * point, before any worker starts) call it on entry, so a bad
+     * value never reaches an engine assert.
      */
     static void checkInputs(const OltpConfiguration &cfg,
                             const RunKnobs &knobs);
@@ -152,11 +151,15 @@ class ExperimentRunner
      * sample period a power of two that leaves at least 2 sets in its
      * scaled L2 and L3, and a topology the memory system can build: at
      * most mem::maxCoherentCpus sockets, one socket for a shared-L3
-     * (CMP) machine, and a page shift of 6 to 30. runWithPreset()
-     * calls it on entry.
+     * (CMP) machine, and a page shift of 6 to 30. An Island
+     * @p placement's sockets per island (clamped to [1, sockets] as
+     * the workload does) must divide the socket count, and there must
+     * be at least one warehouse per island. runWithPreset() calls it
+     * on entry.
      */
     static void checkInputs(const MachinePreset &preset,
-                            unsigned warehouses, const RunKnobs &knobs);
+                            unsigned warehouses, const RunKnobs &knobs,
+                            const os::PlacementConfig &placement = {});
 };
 
 } // namespace odbsim::core

@@ -1,6 +1,7 @@
 #include "db/buffer_cache.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "sim/logging.hh"
 
@@ -12,14 +13,19 @@ BufferCache::BufferCache(std::uint64_t frames)
       sentinel_(static_cast<std::uint32_t>(frames))
 {
     odbsim_assert(frames >= 8, "buffer cache needs at least 8 frames");
+    odbsim_assert(frames < noFrame, "a buffer cache of ", frames,
+                  " frames needs frame numbers past 32 bits");
     // The LRU list's sentinel lives past the last frame so frame
     // indices stay dense.
     frames_.resize(frames + 1);
     frames_[sentinel_].prev = sentinel_;
     frames_[sentinel_].next = sentinel_;
-    // Residency can never exceed the frame count, so after this the
-    // index never rehashes (mapAllocations() flat).
-    map_.reserve(frames);
+    // At least one bucket per frame, so chains average at most one
+    // resident block; residency never exceeds the frame count, so the
+    // heads never grow.
+    const std::uint64_t buckets = std::bit_ceil(frames);
+    heads_.assign(buckets, noFrame);
+    bucketShift_ = 64 - static_cast<unsigned>(std::countr_zero(buckets));
 }
 
 void
@@ -44,12 +50,11 @@ BufferLookup
 BufferCache::lookup(BlockId b)
 {
     ++gets_;
-    const std::uint32_t *slot = map_.find(b);
-    if (!slot) {
+    const std::uint32_t f = find(b, bucketOf(b));
+    if (f == noFrame) {
         ++misses_;
         return BufferLookup{false, 0};
     }
-    const std::uint32_t f = *slot;
     unlink(f);
     pushFront(f);
     return BufferLookup{true, f};
@@ -58,7 +63,8 @@ BufferCache::lookup(BlockId b)
 BufferVictim
 BufferCache::allocate(BlockId b)
 {
-    odbsim_assert(map_.find(b) == nullptr,
+    const std::uint64_t bucket = bucketOf(b);
+    odbsim_assert(find(b, bucket) == noFrame,
                   "allocate for already-resident block ", b);
     BufferVictim out;
 
@@ -77,7 +83,11 @@ BufferCache::allocate(BlockId b)
         out.wasDirty = victim.dirty;
         if (victim.dirty)
             ++dirtyEvictions_;
-        map_.erase(victim.block);
+        // Unchain the victim: find the link that points at it.
+        std::uint32_t *link = &heads_[bucketOf(victim.block)];
+        while (*link != f)
+            link = &frames_[*link].hashNext;
+        *link = victim.hashNext;
         unlink(f);
     }
 
@@ -85,7 +95,8 @@ BufferCache::allocate(BlockId b)
     fr.block = b;
     fr.dirty = false;
     fr.ioPending = true;
-    map_.findOrInsert(b) = f;
+    fr.hashNext = heads_[bucket];
+    heads_[bucket] = f;
     pushFront(f);
     out.frame = f;
     return out;
@@ -106,7 +117,8 @@ BufferCache::markDirty(std::uint64_t frame)
 void
 BufferCache::prefill(BlockId b, bool dirty)
 {
-    if (map_.find(b) != nullptr)
+    const std::uint64_t bucket = bucketOf(b);
+    if (find(b, bucket) != noFrame)
         return;
     if (nextFree_ >= numFrames_)
         return;
@@ -115,7 +127,8 @@ BufferCache::prefill(BlockId b, bool dirty)
     fr.block = b;
     fr.dirty = dirty;
     fr.ioPending = false;
-    map_.findOrInsert(b) = f;
+    fr.hashNext = heads_[bucket];
+    heads_[bucket] = f;
     pushFront(f);
 }
 
@@ -126,14 +139,16 @@ BufferCache::finishWarmFill(std::uint64_t n)
     // first. That order gives the i-th distinct block (i from 0,
     // hottest first) frame n-1-i and pushes it to MRU last of all
     // colder blocks, so the LRU list runs frame n-1 (MRU) down to
-    // frame 0 (LRU), and nextFree is n.
+    // frame 0 (LRU), and nextFree is n. Chain order within a bucket
+    // does not matter: a block is in at most one frame, so a probe
+    // finds the same frame whatever the order.
     //  - warmFill() gave the i-th block frame numFrames-1-i. When the
     //    stream filled the cache (n == numFrames) that is n-1-i
     //    already.
-    //  - When the stream ran dry first, every frame and index value
-    //    sits numFrames-n too high: slide frames [numFrames-n,
-    //    numFrames) down to [0, n), reset the vacated ones to empty,
-    //    and lower every index value by the same gap.
+    //  - When the stream ran dry first, every frame number sits
+    //    numFrames-n too high: slide frames [numFrames-n, numFrames)
+    //    down to [0, n), reset the vacated ones to empty, and lower
+    //    every bucket head and hashNext link by the same gap.
     //  - One sweep then links frame f between f+1 (towards MRU) and
     //    f-1 (towards LRU), which is exactly the list n pushFront()s
     //    of frames 0, 1, ..., n-1 build.
@@ -146,7 +161,13 @@ BufferCache::finishWarmFill(std::uint64_t n)
                   frames_.begin() + static_cast<std::ptrdiff_t>(numFrames_),
                   Frame{});
         const auto shift = static_cast<std::uint32_t>(gap);
-        map_.forEachValue([shift](std::uint32_t &f) { f -= shift; });
+        const auto lower = [shift](std::uint32_t &f) {
+            if (f != noFrame)
+                f -= shift;
+        };
+        std::for_each(heads_.begin(), heads_.end(), lower);
+        for (std::uint64_t f = 0; f < n; ++f)
+            lower(frames_[f].hashNext);
     }
     nextFree_ = n;
     if (n == 0)
@@ -165,9 +186,9 @@ BufferCache::finishWarmFill(std::uint64_t n)
 void
 BufferCache::markClean(BlockId b)
 {
-    const std::uint32_t *f = map_.find(b);
-    if (f)
-        frames_[*f].dirty = false;
+    const std::uint32_t f = find(b, bucketOf(b));
+    if (f != noFrame)
+        frames_[f].dirty = false;
 }
 
 void

@@ -2,38 +2,41 @@
  * @file
  * The database buffer cache — the dominant component of the SGA.
  *
- * Frames hold 8 KB database blocks; a hash map finds resident blocks
- * and an intrusive LRU list orders victims. Replacement hands dirty
- * victims to the caller (who forwards them to DBWR); frames being
- * filled by an in-flight DMA are exempt from eviction.
+ * Frames hold 8 KB database blocks; hash chains through the frame
+ * headers find resident blocks and an intrusive LRU list orders
+ * victims. Replacement hands dirty victims to the caller (who forwards
+ * them to DBWR); frames being filled by an in-flight DMA are exempt
+ * from eviction.
  *
  * The studied configuration dedicated 2.8 GB to this cache — 358,400
  * frames — which sets the cached/scaled crossover near 33 warehouses
  * of ~10.7 K blocks each.
  *
- * Every replayed Touch action probes the resident-block index, so it
- * is a sim::FlatMap reserved to the frame count at construction: the
- * resident population can never exceed the frame count, so steady
- * state never rehashes and lookups are one Fibonacci-hashed probe
- * into a contiguous slot array (mapAllocations() observes this).
- * metaAddr()'s bucket fold over the non-power-of-two frame count is a
- * precomputed exact fastmod rather than a 64-bit hardware divide.
+ * Every replayed Touch action probes the resident-block index. It is
+ * the layout of Oracle's own buffer cache: a power-of-two array of
+ * 32-bit bucket heads, sized once from the frame count (at most one
+ * resident block per bucket on average), whose chains run through a
+ * `hashNext` frame number in each frame header. A probe walks one
+ * chain of the frames the LRU promotion reads anyway, and nothing
+ * grows after the constructor. metaAddr()'s bucket fold over the
+ * non-power-of-two frame count is a precomputed exact fastmod rather
+ * than a 64-bit hardware divide.
  *
  * warmFill() stands in for the paper's 20-minute warm-up run: one
  * pass over a hottest-first block stream that lands each block in its
- * final frame and LRU position (see docs/SCALE.md).
+ * final frame, chain and LRU position (see docs/SCALE.md).
  */
 
 #ifndef ODBSIM_DB_BUFFER_CACHE_HH
 #define ODBSIM_DB_BUFFER_CACHE_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "db/types.hh"
 #include "mem/addr_space.hh"
 #include "sim/fastmod.hh"
-#include "sim/flat_map.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
 
@@ -64,11 +67,16 @@ struct BufferVictim
 class BufferCache
 {
   public:
-    /** @param frames Frame count; at least 8. */
+    /** @param frames Frame count; at least 8 and below 2^32 - 1. */
     explicit BufferCache(std::uint64_t frames);
 
     std::uint64_t numFrames() const { return numFrames_; }
-    std::uint64_t residentBlocks() const { return map_.size(); }
+
+    /**
+     * Frames fill from 0 upwards and a block leaves only when another
+     * takes its frame, so the resident count is the free-frame cursor.
+     */
+    std::uint64_t residentBlocks() const { return nextFree_; }
 
     /** Probe for @p b; hits are promoted to MRU. */
     BufferLookup lookup(BlockId b);
@@ -77,10 +85,10 @@ class BufferCache
     BufferLookup
     peek(BlockId b) const
     {
-        const std::uint32_t *f = map_.find(b);
-        if (!f)
+        const std::uint32_t f = find(b, bucketOf(b));
+        if (f == noFrame)
             return BufferLookup{false, 0};
-        return BufferLookup{true, *f};
+        return BufferLookup{true, f};
     }
 
     /**
@@ -118,10 +126,12 @@ class BufferCache
     /**
      * Fill an empty cache from a hottest-first block stream in one
      * pass, with no I/O and no statistics. @p stream is called once
-     * with a sink `bool(BlockId)`; it feeds blocks hottest first and
-     * stops when the sink returns false (the cache is full). Only a
-     * block's first occurrence counts; @p dirty(b) says whether block
-     * b starts modified.
+     * with a chunk sink `bool(std::span<const BlockId>)`; it feeds
+     * blocks hottest first, a chunk at a time, and stops when the sink
+     * returns false (the cache is full). Blocks of the last chunk that
+     * come after the one filling the cache are ignored. Only a block's
+     * first occurrence counts; @p dirty(b) says whether block b starts
+     * modified.
      *
      * The result is exactly that of prefill()ing the stream's distinct
      * blocks coldest-first: frame f holds the (n-1-f)-th distinct
@@ -132,29 +142,33 @@ class BufferCache
     void
     warmFill(Stream &&stream, DirtyRule &&dirty)
     {
-        odbsim_assert(map_.size() == 0,
+        odbsim_assert(nextFree_ == 0,
                       "a warm fill needs an empty buffer cache, but ",
-                      map_.size(), " blocks are resident");
+                      nextFree_, " blocks are resident");
         // The k-th distinct block (k from 0) takes frame numFrames-1-k,
-        // written in place, so frames are final whenever the cache
-        // fills. The index both dedupes the stream and maps each block
-        // to its frame. finishWarmFill() slides the frames down if the
-        // stream ran dry and links the LRU list; it carries the proof
-        // that the result equals the coldest-first prefill().
+        // written in place and pushed on its chain, so frames are final
+        // whenever the cache fills. The chains both dedupe the stream
+        // and map each block to its frame. finishWarmFill() slides the
+        // frames down if the stream ran dry and links the LRU list; it
+        // carries the proof that the result equals the coldest-first
+        // prefill().
         std::uint64_t n = 0;
-        stream([&](BlockId b) {
-            bool inserted = false;
-            std::uint32_t &slot = map_.findOrInsert(b, inserted);
-            if (!inserted)
-                return true; // A hotter occurrence already has a frame.
-            const auto f = static_cast<std::uint32_t>(numFrames_ - 1 - n);
-            ++n;
-            slot = f;
-            Frame &fr = frames_[f];
-            fr.block = b;
-            fr.dirty = dirty(b);
-            fr.ioPending = false;
-            return n < numFrames_;
+        stream([&](std::span<const BlockId> chunk) {
+            for (const BlockId b : chunk) {
+                const std::uint64_t bucket = bucketOf(b);
+                if (find(b, bucket) != noFrame)
+                    continue; // A hotter occurrence already has a frame.
+                const auto f = static_cast<std::uint32_t>(numFrames_ - 1 - n);
+                Frame &fr = frames_[f];
+                fr.block = b;
+                fr.dirty = dirty(b);
+                fr.ioPending = false;
+                fr.hashNext = heads_[bucket];
+                heads_[bucket] = f;
+                if (++n == numFrames_)
+                    return false;
+            }
+            return true;
         });
         finishWarmFill(n);
     }
@@ -197,14 +211,11 @@ class BufferCache
     void resetStats();
     /** @} */
 
-    /**
-     * Growth events of the resident-block index (perf-test hook). The
-     * index is reserved to the frame count at construction, so this
-     * must never advance after the constructor returns.
-     */
-    std::uint64_t mapAllocations() const { return map_.allocations(); }
-
   private:
+    /** End of a hash chain. The constructor keeps every frame number,
+     *  the LRU sentinel's included, below it. */
+    static constexpr std::uint32_t noFrame = ~std::uint32_t{0};
+
     struct Frame
     {
         BlockId block = invalidBlock;
@@ -212,7 +223,28 @@ class BufferCache
         bool ioPending = false;
         std::uint32_t prev = 0;
         std::uint32_t next = 0;
+        /** Next frame of this block's hash chain, or noFrame. */
+        std::uint32_t hashNext = noFrame;
     };
+    static_assert(sizeof(Frame) == 24,
+                  "hashNext lives in the frame header's tail padding");
+
+    /** Fibonacci hash of @p b onto the bucket heads. */
+    std::uint64_t
+    bucketOf(BlockId b) const
+    {
+        return (b * 0x9e3779b97f4a7c15ULL) >> bucketShift_;
+    }
+
+    /** Frame holding @p b, whose bucket is @p bucket, or noFrame. */
+    std::uint32_t
+    find(BlockId b, std::uint64_t bucket) const
+    {
+        std::uint32_t f = heads_[bucket];
+        while (f != noFrame && frames_[f].block != b)
+            f = frames_[f].hashNext;
+        return f;
+    }
 
     void unlink(std::uint32_t f);
     void pushFront(std::uint32_t f);
@@ -221,7 +253,9 @@ class BufferCache
     /** The frames, then the LRU list's head/tail anchor at index
      *  numFrames_ (next = MRU, prev = LRU). */
     std::vector<Frame> frames_;
-    sim::FlatMap<BlockId, std::uint32_t> map_;
+    /** First frame of each bucket's hash chain, or noFrame. */
+    std::vector<std::uint32_t> heads_;
+    unsigned bucketShift_ = 0; ///< 64 - log2(heads_.size())
     sim::FastMod64 frameMod_;
     std::uint64_t numFrames_ = 0;
     std::uint32_t sentinel_ = 0;

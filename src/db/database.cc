@@ -1,6 +1,5 @@
 #include "db/database.hh"
 
-#include <functional>
 #include <vector>
 
 namespace odbsim::db
@@ -38,7 +37,7 @@ Database::instantWarm(const std::vector<std::uint32_t> &active_warehouses)
     const auto dirty_below =
         static_cast<std::uint64_t>(cfg_.warmDirtyFraction * 1000.0);
     bufcache_.warmFill(
-        [&](const std::function<bool(BlockId)> &sink) {
+        [&](const Schema::WarmSink &sink) {
             schema_.enumerateWarm(sink, active_warehouses.empty()
                                             ? nullptr
                                             : &active_warehouses);

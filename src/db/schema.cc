@@ -378,19 +378,6 @@ Schema::applyPlanUndo(const PlanUndo &u)
     }
 }
 
-std::uint64_t
-Schema::mix(std::uint64_t a, std::uint64_t b, std::uint64_t c)
-{
-    std::uint64_t x = a * 0x9e3779b97f4a7c15ULL + b;
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ULL;
-    x += c;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebULL;
-    x ^= x >> 31;
-    return x;
-}
-
 std::uint8_t
 Schema::initialOlCnt(std::uint32_t w, std::uint32_t d,
                      std::uint32_t o) const
@@ -400,9 +387,23 @@ Schema::initialOlCnt(std::uint32_t w, std::uint32_t d,
 }
 
 void
-Schema::enumerateWarm(const std::function<bool(BlockId)> &cb,
+Schema::enumerateWarm(const WarmSink &sink,
                       const std::vector<std::uint32_t> *active) const
 {
+    // The stages below emit one block at a time through cb, which
+    // fills a stack chunk and hands it to the sink when full. cb
+    // returns false once the sink has, and every stage then returns
+    // at once, so only the natural end flushes a part chunk.
+    BlockId chunk[warmChunk] = {};
+    std::size_t fill = 0;
+    const auto cb = [&](BlockId b) {
+        chunk[fill++] = b;
+        if (fill < warmChunk)
+            return true;
+        fill = 0;
+        return sink(std::span<const BlockId>(chunk, warmChunk));
+    };
+
     const std::uint32_t w_cnt = cfg_.warehouses;
     const std::uint32_t d_cnt = cfg_.districtsPerWarehouse;
 
@@ -591,6 +592,8 @@ Schema::enumerateWarm(const std::function<bool(BlockId)> &cb,
             }
         }
     }
+    if (fill > 0)
+        sink(std::span<const BlockId>(chunk, fill));
 }
 
 } // namespace odbsim::db

@@ -22,10 +22,12 @@
 #ifndef ODBSIM_DB_SCHEMA_HH
 #define ODBSIM_DB_SCHEMA_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "db/btree.hh"
@@ -191,9 +193,23 @@ class Schema
     void applyPlanUndo(const PlanUndo &u);
     /** @} */
 
-    /** Deterministic attribute derivation. */
-    static std::uint64_t mix(std::uint64_t a, std::uint64_t b,
-                             std::uint64_t c);
+    /**
+     * Deterministic attribute derivation. Inline: it is instant
+     * warm-up's dirty rule, run once per warmed block, and the
+     * planner's attribute hash.
+     */
+    static std::uint64_t
+    mix(std::uint64_t a, std::uint64_t b, std::uint64_t c)
+    {
+        std::uint64_t x = a * 0x9e3779b97f4a7c15ULL + b;
+        x ^= x >> 30;
+        x *= 0xbf58476d1ce4e5b9ULL;
+        x += c;
+        x ^= x >> 27;
+        x *= 0x94d049bb133111ebULL;
+        x ^= x >> 31;
+        return x;
+    }
 
     /** Line count of a pre-loaded order. */
     std::uint8_t initialOlCnt(std::uint32_t w, std::uint32_t d,
@@ -215,16 +231,24 @@ class Schema
                custBalance_.allocations();
     }
 
+    /** Receives warm blocks a chunk at a time; false stops the
+     *  stream. */
+    using WarmSink = std::function<bool(std::span<const BlockId>)>;
+
+    /** Most blocks enumerateWarm() hands its sink per call. */
+    static constexpr std::size_t warmChunk = 256;
+
     /**
-     * Emit block ids from hottest to coldest (for warm pre-fill);
-     * stops when @p cb returns false.
+     * Emit block ids from hottest to coldest (for warm pre-fill) to
+     * @p sink, up to warmChunk of them per call, in order; stops after
+     * the call that returns false.
      *
      * @param active Warehouses with bound clients; when non-null,
      *        per-warehouse heap/leaf stages cover only these (remote
      *        traffic touches the rest, but steady-state residency is
      *        dominated by home warehouses).
      */
-    void enumerateWarm(const std::function<bool(BlockId)> &cb,
+    void enumerateWarm(const WarmSink &sink,
                        const std::vector<std::uint32_t> *active =
                            nullptr) const;
 

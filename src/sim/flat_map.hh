@@ -1,10 +1,13 @@
 /**
  * @file
- * FlatMap: the flat open-addressing hash table behind every hot-path
- * key→value store in the simulator. It started life inside the
+ * FlatMap: the flat open-addressing hash table behind the simulator's
+ * hot-path key→value stores whose population has no fixed bound: the
+ * coherence directories, the first-touch page homes, the lock-resource
+ * table and the schema row state. It started life inside the
  * coherence directory (mem/coherence.cc) and was extracted once the
- * db layer — buffer-cache index, lock-resource table, schema row
- * state — needed the same storage discipline.
+ * db layer needed the same storage discipline. The buffer cache's
+ * resident-block index, whose population the frame count bounds,
+ * chains through its frame headers instead (db/buffer_cache.hh).
  *
  * Design (unchanged from the directory's original table, so the port
  * is bit-identical):
@@ -70,8 +73,8 @@ class FlatMap
     /**
      * @param min_capacity Starting slot count (power of two). The
      *        default matches the coherence directory's original table.
-     *        A table whose population is known up front (the buffer
-     *        cache's frame count) reserve()s it once; one without a
+     *        A table whose population is known up front (a directory's
+     *        resident-line bound) reserve()s it once; one without a
      *        bound starts here and doubles at each high-water mark.
      */
     explicit FlatMap(std::size_t min_capacity = 1024)
@@ -220,21 +223,6 @@ class FlatMap
             cap = std::max(cap, std::bit_ceil((entries * 8 + 6) / 7));
         if (cap > slots_.size())
             rehash(cap);
-    }
-
-    /**
-     * Call @p fn(value) on every live entry's value, in slot order:
-     * one sequential pass over the table. @p fn may change the values
-     * but must not insert or erase.
-     */
-    template <typename Fn>
-    void
-    forEachValue(Fn &&fn)
-    {
-        for (std::size_t i = 0; i < slots_.size(); ++i) {
-            if (gens_[i] == gen_)
-                fn(slots_[i].value);
-        }
     }
 
     /** Live entries. */

@@ -14,7 +14,9 @@
  * past the last Tick). A topology the memory system cannot build (a
  * shared-L3 CMP on two sockets, more sockets than the directories'
  * sharer masks hold, a page shift outside [6, 30]) stops likewise, as
- * does repeatRun with zero repeats.
+ * do an Island placement whose sockets per island do not divide the
+ * socket count or that has more islands than warehouses, and
+ * repeatRun with zero repeats.
  */
 
 #include <gtest/gtest.h>
@@ -334,6 +336,75 @@ TEST(RunInputsDeathTest, StudyRejectsABadTopologyBeforeAnyPoint)
         cfg.processors = {1, 4};
         cfg.topology.sockets = bad.sockets;
         cfg.topology.pageShift = bad.pageShift;
+        cfg.jobs = 2;
+        EXPECT_EXIT(ScalingStudy::run(cfg), testing::ExitedWithCode(1),
+                    bad.message);
+    }
+}
+
+/** An Island placement the workload cannot lay out, and its message. */
+struct BadPlacement
+{
+    unsigned warehouses;
+    unsigned processors;
+    unsigned sockets;
+    unsigned islandSockets;
+    const char *message;
+};
+
+const BadPlacement badPlacements[] = {
+    {10, 4, 4, 3,
+     "fatal: an Island placement of 3 sockets per island does not "
+     "divide the 4 sockets"},
+    {1, 2, 2, 1,
+     "fatal: an Island placement of 2 islands needs at least as many "
+     "warehouses, got 1"},
+};
+
+OltpConfiguration
+onIslands(const BadPlacement &bad)
+{
+    OltpConfiguration cfg = point(bad.warehouses, bad.processors);
+    cfg.topology.sockets = bad.sockets;
+    cfg.placement.policy = os::PlacementPolicy::Island;
+    cfg.placement.islandSockets = bad.islandSockets;
+    return cfg;
+}
+
+TEST(RunInputsDeathTest, RunRejectsIslandPlacementsTheWorkloadCannotLayOut)
+{
+    for (const BadPlacement &bad : badPlacements) {
+        SCOPED_TRACE(bad.message);
+        EXPECT_EXIT(ExperimentRunner::run(onIslands(bad), fastKnobs()),
+                    testing::ExitedWithCode(1), bad.message);
+    }
+}
+
+TEST(RunInputsDeathTest, RunWithPresetRejectsBadIslandPlacements)
+{
+    for (const BadPlacement &bad : badPlacements) {
+        SCOPED_TRACE(bad.message);
+        const OltpConfiguration cfg = onIslands(bad);
+        MachinePreset preset =
+            makeMachine(cfg.machine, cfg.processors, 16, 42);
+        preset.sys.topology = cfg.topology;
+        EXPECT_EXIT(ExperimentRunner::runWithPreset(
+                        preset, cfg.warehouses, 0, fastKnobs(),
+                        cfg.placement),
+                    testing::ExitedWithCode(1), bad.message);
+    }
+}
+
+TEST(RunInputsDeathTest, StudyRejectsABadIslandPlacementBeforeAnyPoint)
+{
+    for (const BadPlacement &bad : badPlacements) {
+        SCOPED_TRACE(bad.message);
+        // In the second case only the W=1 point, which a good one
+        // precedes, is bad.
+        StudyConfig cfg = tripwireStudy({10, bad.warehouses});
+        cfg.processors = {bad.processors};
+        cfg.topology.sockets = bad.sockets;
+        cfg.placement = onIslands(bad).placement;
         cfg.jobs = 2;
         EXPECT_EXIT(ScalingStudy::run(cfg), testing::ExitedWithCode(1),
                     bad.message);

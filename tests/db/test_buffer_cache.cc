@@ -1,12 +1,24 @@
 /**
  * @file
  * Tests for the buffer cache (SGA): lookup/allocate semantics, LRU
- * order, dirty tracking, I/O-pending protection, warm pre-fill.
+ * order, dirty tracking, I/O-pending protection, warm pre-fill, and a
+ * seeded churn differential of the chained block index against a
+ * reference built on std::unordered_map and std::list.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <deque>
+#include <list>
+#include <span>
+#include <unordered_map>
+#include <unordered_set>
+#include <vector>
+
 #include "db/buffer_cache.hh"
+#include "sim/rng.hh"
 
 namespace
 {
@@ -250,18 +262,347 @@ TEST(BufferCache, PrefillWhenFullLeavesResidentsIntact)
     EXPECT_TRUE(bc.isDirty(bc.peek(2).frame));
 }
 
-TEST(BufferCache, SteadyStateChurnNeverGrowsTheIndex)
+TEST(BufferCacheDeathTest, FrameNumbersPastThirtyTwoBitsAssert)
 {
-    // The resident index is reserved to the frame count at
-    // construction; any amount of miss/evict churn afterwards must
-    // leave the growth counter flat.
-    BufferCache bc(64);
-    const std::uint64_t allocs = bc.mapAllocations();
-    for (BlockId b = 0; b < 10'000; ++b) {
-        if (!bc.lookup(b % 500).hit)
-            bc.fillComplete(bc.allocate(b % 500).frame);
+    // Frame numbers, the LRU sentinel's included, must stay below the
+    // empty-chain marker ~0u. The check runs before any allocation.
+    EXPECT_DEATH({ BufferCache bc(0xffff'ffffull); },
+                 "needs frame numbers past 32 bits");
+}
+
+/** One frame of the reference model. */
+struct RefFrame
+{
+    BlockId block = invalidBlock;
+    bool dirty = false;
+    bool ioPending = false;
+};
+
+/**
+ * The cache's contract rebuilt on standard containers: a
+ * std::unordered_map block index, a std::list LRU (front = MRU), free
+ * frames taken in order and victims taken from the LRU end, skipping
+ * frames whose fill is in flight.
+ */
+class ReferenceCache
+{
+  public:
+    explicit ReferenceCache(std::uint64_t frames)
+        : frames_(frames), lruPos_(frames)
+    {}
+
+    std::uint64_t resident() const { return where_.size(); }
+    const RefFrame &frame(std::uint64_t f) const { return frames_[f]; }
+
+    BufferLookup
+    peek(BlockId b) const
+    {
+        const auto it = where_.find(b);
+        return it == where_.end() ? BufferLookup{false, 0}
+                                  : BufferLookup{true, it->second};
     }
-    EXPECT_EQ(bc.mapAllocations(), allocs);
+
+    BufferLookup
+    lookup(BlockId b)
+    {
+        const BufferLookup l = peek(b);
+        if (l.hit)
+            lru_.splice(lru_.begin(), lru_, lruPos_[l.frame]);
+        return l;
+    }
+
+    BufferVictim
+    allocate(BlockId b)
+    {
+        BufferVictim out;
+        std::uint64_t f;
+        if (nextFree_ < frames_.size()) {
+            f = nextFree_++;
+        } else {
+            const auto it =
+                std::find_if(lru_.rbegin(), lru_.rend(),
+                             [&](std::uint64_t g) {
+                                 return !frames_[g].ioPending;
+                             });
+            f = *it;
+            out.hadBlock = true;
+            out.evictedBlock = frames_[f].block;
+            out.wasDirty = frames_[f].dirty;
+            where_.erase(frames_[f].block);
+            lru_.erase(lruPos_[f]);
+        }
+        place(f, b, false, true);
+        out.frame = f;
+        return out;
+    }
+
+    void fillComplete(std::uint64_t f) { frames_[f].ioPending = false; }
+    void markDirty(std::uint64_t f) { frames_[f].dirty = true; }
+
+    void
+    markClean(BlockId b)
+    {
+        const BufferLookup l = peek(b);
+        if (l.hit)
+            frames_[l.frame].dirty = false;
+    }
+
+    void
+    prefill(BlockId b, bool dirty)
+    {
+        if (where_.count(b) != 0 || nextFree_ == frames_.size())
+            return;
+        place(nextFree_++, b, dirty, false);
+    }
+
+  private:
+    void
+    place(std::uint64_t f, BlockId b, bool dirty, bool io_pending)
+    {
+        frames_[f] = RefFrame{b, dirty, io_pending};
+        where_.emplace(b, f);
+        lru_.push_front(f);
+        lruPos_[f] = lru_.begin();
+    }
+
+    std::vector<RefFrame> frames_;
+    std::unordered_map<BlockId, std::uint64_t> where_;
+    std::list<std::uint64_t> lru_;
+    std::vector<std::list<std::uint64_t>::iterator> lruPos_;
+    std::uint64_t nextFree_ = 0;
+};
+
+/**
+ * The cache's index hashes a block b to the top bits of b * phi
+ * (mod 2^64), phi = 0x9e3779b97f4a7c15. Block (j << 40) * phi^-1
+ * multiplies back to j << 40, so runs of consecutive j share a bucket:
+ * all of them below 2^18 at up to 64 frames, 32 at a time at 358,400
+ * frames (2^19 buckets). Had the hash changed, the churn below would
+ * still compare the same behaviour, on shorter chains.
+ */
+constexpr std::uint64_t phiInverse = 0xf1de83e19937733dULL;
+static_assert(phiInverse * 0x9e3779b97f4a7c15ULL == 1);
+
+/**
+ * Drive @p steps seeded random operations through a BufferCache of
+ * @p frames frames and the reference, comparing after every step.
+ * The footprint is four times the frame count: half spread block ids,
+ * half blocks that share buckets (above), so chains grow long and
+ * victims fall at the head, middle and tail of a chain. Up to a
+ * quarter of the frames at a time wait on a fill, which eviction must
+ * skip.
+ */
+void
+churnAgainstReference(std::uint64_t frames, std::uint64_t steps,
+                      std::uint64_t seed)
+{
+    SCOPED_TRACE(::testing::Message() << frames << " frames");
+    BufferCache bc(frames);
+    ReferenceCache ref(frames);
+    Rng rng(seed);
+    std::vector<BlockId> footprint;
+    for (std::uint64_t j = 0; j < 2 * frames; ++j) {
+        footprint.push_back(rng.below(std::uint64_t{1} << 40));
+        footprint.push_back((j << 40) * phiInverse);
+    }
+    std::deque<std::uint64_t> filling;
+
+    const auto sameDirty = [&](std::uint64_t f, std::uint64_t step) {
+        ASSERT_EQ(bc.isDirty(f), ref.frame(f).dirty) << "step " << step;
+    };
+    for (std::uint64_t step = 0; step < steps; ++step) {
+        const BlockId b = footprint[rng.below(footprint.size())];
+        const BufferLookup expect = ref.peek(b);
+        switch (rng.below(8)) {
+          case 0:
+          case 1:
+          case 2: {
+            const BufferLookup got = bc.lookup(b);
+            ref.lookup(b);
+            ASSERT_EQ(got.hit, expect.hit) << "step " << step;
+            ASSERT_EQ(got.frame, expect.frame) << "step " << step;
+            if (got.hit)
+                break;
+            const BufferVictim v = bc.allocate(b);
+            const BufferVictim w = ref.allocate(b);
+            ASSERT_EQ(v.frame, w.frame) << "step " << step;
+            ASSERT_EQ(v.hadBlock, w.hadBlock) << "step " << step;
+            ASSERT_EQ(v.evictedBlock, w.evictedBlock) << "step " << step;
+            ASSERT_EQ(v.wasDirty, w.wasDirty) << "step " << step;
+            if (filling.size() < frames / 4 && rng.chance(0.25)) {
+                filling.push_back(v.frame);
+            } else {
+                bc.fillComplete(v.frame);
+                ref.fillComplete(v.frame);
+            }
+            sameDirty(v.frame, step);
+            break;
+          }
+          case 3:
+            if (!filling.empty()) {
+                bc.fillComplete(filling.front());
+                ref.fillComplete(filling.front());
+                filling.pop_front();
+            }
+            break;
+          case 4:
+            if (expect.hit) {
+                bc.markDirty(expect.frame);
+                ref.markDirty(expect.frame);
+                sameDirty(expect.frame, step);
+            }
+            break;
+          case 5:
+            bc.markClean(b);
+            ref.markClean(b);
+            if (expect.hit)
+                sameDirty(expect.frame, step);
+            break;
+          case 6: {
+            const BufferLookup got = bc.peek(b);
+            ASSERT_EQ(got.hit, expect.hit) << "step " << step;
+            ASSERT_EQ(got.frame, expect.frame) << "step " << step;
+            break;
+          }
+          default: {
+            const bool dirty = rng.chance(0.3);
+            bc.prefill(b, dirty);
+            ref.prefill(b, dirty);
+            const BufferLookup got = bc.peek(b);
+            ASSERT_EQ(got.hit, ref.peek(b).hit) << "step " << step;
+            ASSERT_EQ(got.frame, ref.peek(b).frame) << "step " << step;
+            if (got.hit)
+                sameDirty(got.frame, step);
+            break;
+          }
+        }
+        ASSERT_EQ(bc.residentBlocks(), ref.resident()) << "step " << step;
+        // Resident blocks stay reachable through their chains: a
+        // broken unlink shows here before it can close a cycle.
+        for (int k = 0; k < 4 && bc.residentBlocks() > 0; ++k) {
+            const std::uint64_t f = rng.below(bc.residentBlocks());
+            const BufferLookup l = bc.peek(bc.blockAt(f));
+            ASSERT_TRUE(l.hit && l.frame == f)
+                << "step " << step << ", frame " << f;
+        }
+    }
+
+    // The whole state at the end: every frame's block, dirty bit and
+    // index entry, the statistics, and (through numFrames() fresh
+    // allocations that evict every block) the LRU order.
+    EXPECT_EQ(bc.residentBlocks(), frames);
+    for (std::uint64_t f = 0; f < frames; ++f) {
+        ASSERT_EQ(bc.blockAt(f), ref.frame(f).block) << "frame " << f;
+        ASSERT_EQ(bc.isDirty(f), ref.frame(f).dirty) << "frame " << f;
+        ASSERT_EQ(bc.peek(bc.blockAt(f)).frame, f) << "frame " << f;
+    }
+    for (const std::uint64_t f : filling) {
+        bc.fillComplete(f);
+        ref.fillComplete(f);
+    }
+    const BlockId fresh = std::uint64_t{1} << 62;
+    for (std::uint64_t i = 0; i < frames; ++i) {
+        const BufferVictim v = bc.allocate(fresh + i);
+        const BufferVictim w = ref.allocate(fresh + i);
+        bc.fillComplete(v.frame);
+        ref.fillComplete(w.frame);
+        ASSERT_EQ(v.frame, w.frame) << "allocation " << i;
+        ASSERT_EQ(v.evictedBlock, w.evictedBlock) << "allocation " << i;
+        ASSERT_EQ(v.wasDirty, w.wasDirty) << "allocation " << i;
+    }
+}
+
+TEST(BufferCache, ChurnMatchesAnUnorderedMapReference)
+{
+    // 13 frames is not a power of two: 16 buckets for 13 blocks.
+    for (const std::uint64_t frames : {8ull, 13ull, 64ull})
+        churnAgainstReference(frames, 40'000, 0xbcf0 + frames);
+}
+
+TEST(BufferCache, ChurnMatchesAnUnorderedMapReferenceAtThePapersCache)
+{
+    // The studied 2.8 GB cache: 358,400 frames in 524,288 buckets.
+    // About half the steps fill the frames; the rest churn them.
+    churnAgainstReference(358'400, 1'600'000, 0xbcf1);
+}
+
+/**
+ * Two caches hold the same blocks in the same frames with the same
+ * dirty bits, index entries and LRU order: numFrames() fresh
+ * allocations use up the same free frames and then evict every block
+ * in the same order.
+ */
+void
+expectSameCache(BufferCache &got, BufferCache &want)
+{
+    ASSERT_EQ(got.residentBlocks(), want.residentBlocks());
+    for (std::uint64_t f = 0; f < got.numFrames(); ++f) {
+        ASSERT_EQ(got.blockAt(f), want.blockAt(f)) << "frame " << f;
+        ASSERT_EQ(got.isDirty(f), want.isDirty(f)) << "frame " << f;
+        if (got.blockAt(f) != invalidBlock) {
+            ASSERT_EQ(got.peek(got.blockAt(f)).frame, f) << "frame " << f;
+        }
+    }
+    const BlockId fresh = std::uint64_t{1} << 62;
+    for (std::uint64_t i = 0; i < got.numFrames(); ++i) {
+        const BufferVictim v = got.allocate(fresh + i);
+        const BufferVictim w = want.allocate(fresh + i);
+        got.fillComplete(v.frame);
+        want.fillComplete(w.frame);
+        ASSERT_EQ(v.frame, w.frame) << "allocation " << i;
+        ASSERT_EQ(v.evictedBlock, w.evictedBlock) << "allocation " << i;
+        ASSERT_EQ(v.wasDirty, w.wasDirty) << "allocation " << i;
+    }
+}
+
+TEST(BufferCache, WarmFillMatchesColdestFirstPrefill)
+{
+    // warmFill() against its definition, prefill()ing the stream's
+    // distinct blocks coldest-first. Half the blocks share buckets,
+    // blocks repeat, and chunks are 1 to 7 blocks long. A stream of
+    // half the frame count runs dry, so the frames and their chain
+    // links slide down; one of three times the frame count fills the
+    // cache partway through a chunk, whose rest is ignored.
+    for (const std::uint64_t frames : {8ull, 13ull, 64ull, 1000ull}) {
+        for (const std::uint64_t length : {frames / 2, 3 * frames}) {
+            SCOPED_TRACE(::testing::Message()
+                         << frames << " frames, " << length << " blocks");
+            Rng rng(frames * 7919 + length);
+            std::vector<BlockId> stream;
+            for (std::uint64_t i = 0; i < length; ++i) {
+                const std::uint64_t j = rng.below(length);
+                stream.push_back(rng.chance(0.5) ? (j << 40) * phiInverse
+                                                 : j);
+            }
+            const auto dirty = [](BlockId b) { return b % 3 == 0; };
+
+            BufferCache got(frames);
+            got.warmFill(
+                [&](const auto &sink) {
+                    for (std::size_t at = 0; at < stream.size();) {
+                        const std::size_t n = std::min<std::size_t>(
+                            1 + rng.below(7), stream.size() - at);
+                        if (!sink(std::span<const BlockId>(
+                                stream.data() + at, n)))
+                            return;
+                        at += n;
+                    }
+                },
+                dirty);
+
+            std::vector<BlockId> distinct;
+            std::unordered_set<BlockId> seen;
+            for (const BlockId b : stream) {
+                if (distinct.size() < frames && seen.insert(b).second)
+                    distinct.push_back(b);
+            }
+            BufferCache want(frames);
+            for (auto it = distinct.rbegin(); it != distinct.rend(); ++it)
+                want.prefill(*it, dirty(*it));
+            EXPECT_EQ(distinct.size() < frames, length < frames);
+            expectSameCache(got, want);
+        }
+    }
 }
 
 /** Property: hit ratio is monotone in cache size for an LRU-friendly

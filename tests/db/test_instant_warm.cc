@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -39,10 +40,14 @@ referenceWarm(const db::Schema &schema, double dirty_fraction,
     const std::uint64_t budget = cache.numFrames();
     std::vector<db::BlockId> hot;
     std::unordered_set<db::BlockId> seen;
-    schema.enumerateWarm([&](db::BlockId b) {
-        if (seen.insert(b).second)
-            hot.push_back(b);
-        return hot.size() < budget;
+    schema.enumerateWarm([&](std::span<const db::BlockId> chunk) {
+        for (const db::BlockId b : chunk) {
+            if (seen.insert(b).second)
+                hot.push_back(b);
+            if (hot.size() == budget)
+                return false;
+        }
+        return true;
     });
     for (auto it = hot.rbegin(); it != hot.rend(); ++it) {
         const bool dirty =

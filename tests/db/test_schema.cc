@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <span>
 #include <unordered_set>
+#include <vector>
 
 #include "db/schema.hh"
 
@@ -204,11 +207,15 @@ TEST(Schema, WarmEnumerationUniqueInPrefixAndBounded)
     Schema s(tinyCfg());
     std::vector<BlockId> order;
     std::unordered_set<BlockId> seen;
-    s.enumerateWarm([&](BlockId b) {
-        EXPECT_LT(b, s.totalBlocks());
-        if (seen.insert(b).second)
-            order.push_back(b);
-        return order.size() < 500;
+    s.enumerateWarm([&](std::span<const BlockId> chunk) {
+        for (const BlockId b : chunk) {
+            EXPECT_LT(b, s.totalBlocks());
+            if (seen.insert(b).second)
+                order.push_back(b);
+            if (order.size() == 500)
+                return false;
+        }
+        return true;
     });
     ASSERT_GE(order.size(), 100u);
     // The hottest prefix must contain the index roots and the
@@ -225,14 +232,50 @@ TEST(Schema, WarmEnumerationHonoursActiveList)
     std::vector<std::uint32_t> active = {2};
     std::unordered_set<BlockId> seen;
     s.enumerateWarm(
-        [&](BlockId b) {
-            seen.insert(b);
+        [&](std::span<const BlockId> chunk) {
+            seen.insert(chunk.begin(), chunk.end());
             return true;
         },
         &active);
     // Warehouse 2's hot customer block is in; warehouse 3's is not.
     EXPECT_TRUE(seen.count(s.customerRow(2, 0, 0).block));
     EXPECT_FALSE(seen.count(s.customerRow(3, 0, 0).block));
+}
+
+TEST(Schema, WarmEnumerationStopsAfterTheSinkSaysSo)
+{
+    // The whole stream, a chunk at a time: every chunk but the last is
+    // full.
+    Schema s(tinyCfg());
+    std::vector<BlockId> all;
+    std::vector<std::size_t> sizes;
+    s.enumerateWarm([&](std::span<const BlockId> chunk) {
+        all.insert(all.end(), chunk.begin(), chunk.end());
+        sizes.push_back(chunk.size());
+        return true;
+    });
+    ASSERT_GE(sizes.size(), 4u);
+    for (std::size_t i = 0; i + 1 < sizes.size(); ++i)
+        EXPECT_EQ(sizes[i], Schema::warmChunk) << "chunk " << i;
+    EXPECT_GE(sizes.back(), 1u);
+    EXPECT_LE(sizes.back(), Schema::warmChunk);
+
+    // A sink that stops partway through its third chunk gets no
+    // later chunk, and the chunks it got are the stream's prefix.
+    std::vector<BlockId> got;
+    std::size_t calls = 0;
+    s.enumerateWarm([&](std::span<const BlockId> chunk) {
+        ++calls;
+        for (std::size_t i = 0; i < chunk.size(); ++i) {
+            got.push_back(chunk[i]);
+            if (calls == 3 && i == chunk.size() / 2)
+                return false;
+        }
+        return true;
+    });
+    EXPECT_EQ(calls, 3u);
+    ASSERT_EQ(got.size(), 2 * Schema::warmChunk + Schema::warmChunk / 2 + 1);
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), all.begin()));
 }
 
 TEST(Schema, MixIsDeterministicAndSpread)

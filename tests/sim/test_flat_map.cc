@@ -107,28 +107,6 @@ TEST(FlatMap, GenerationStampWrapDoesNotResurrect)
     EXPECT_EQ(m.find(69'999), nullptr);
 }
 
-/** forEachValue visits each live value once — not erased or cleared
- *  ones — and its writes land in the table. */
-TEST(FlatMap, ForEachValueVisitsLiveEntriesOnly)
-{
-    FlatMap<std::uint64_t, std::uint32_t> m;
-    m.findOrInsert(99) = 5;
-    m.clear();
-    for (std::uint64_t k = 0; k < 100; ++k)
-        m.findOrInsert(k) = static_cast<std::uint32_t>(k + 1000);
-    for (std::uint64_t k = 0; k < 100; k += 2)
-        m.erase(k);
-    std::uint64_t visits = 0;
-    m.forEachValue([&](std::uint32_t &v) {
-        ++visits;
-        v -= 1000;
-    });
-    EXPECT_EQ(visits, 50u);
-    // Key 99's pre-clear value (5) was not visited: it reads 99.
-    for (std::uint64_t k = 1; k < 100; k += 2)
-        EXPECT_EQ(*m.find(k), k) << k;
-}
-
 TEST(FlatMap, ReservePreventsRehash)
 {
     FlatMap<std::uint64_t, std::uint32_t> m;
