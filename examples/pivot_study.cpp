@@ -5,21 +5,18 @@
  * the pivot points, and recommend the minimal representative workload
  * configuration (Sections 6.1-6.2).
  *
- *   ./pivot_study [machine] [--jobs N]   (machine: xeon | itanium2)
+ *   ./pivot_study [machine]   (machine: xeon | itanium2)
  *
- * --jobs N measures the independent grid points on N worker threads
- * (0 = one per hardware thread); the fitted pivots are identical to
- * the serial default, only wall-clock time changes.
+ * The independent grid points run on one host thread per hardware
+ * thread; the fitted pivots are the same at any thread count.
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "analysis/table.hh"
 #include "core/representative.hh"
 #include "core/scaling_study.hh"
-#include "support/bench_common.hh"
 
 int
 main(int argc, char **argv)
@@ -27,15 +24,12 @@ main(int argc, char **argv)
     using namespace odbsim;
     using analysis::TextTable;
 
-    // Shared knobs (--jobs/--profile) live in
-    // bench_common; only the positional machine name is local.
-    bench::parseArgs(argc, argv);
     core::StudyConfig cfg;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "itanium2") == 0)
             cfg.machine = core::MachineKind::Itanium2Quad;
     }
-    cfg.jobs = bench::studyJobs();
+    cfg.jobs = 0;
     cfg.onPoint = [](const core::RunResult &r) {
         std::fprintf(stderr, "  measured W=%u P=%u: cpi %.2f mpi %.4f\n",
                      r.warehouses, r.processors, r.cpi, r.mpi * 1e3);

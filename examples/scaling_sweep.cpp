@@ -4,20 +4,17 @@
  * the headline metrics of the study — the quickest way to see the
  * cached/balanced/scaled structure of the configuration space.
  *
- *   ./scaling_sweep [machine] [--jobs N]   (machine: xeon | itanium2)
+ *   ./scaling_sweep [machine]   (machine: xeon | itanium2)
  *
- * --jobs N measures the independent grid points on N worker threads
- * (0 = one per hardware thread); the results are identical to the
- * serial default, only wall-clock time changes.
+ * The independent grid points run on one host thread per hardware
+ * thread; the results are the same at any thread count.
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "analysis/table.hh"
 #include "core/scaling_study.hh"
-#include "support/bench_common.hh"
 
 int
 main(int argc, char **argv)
@@ -25,15 +22,12 @@ main(int argc, char **argv)
     using namespace odbsim;
     using analysis::TextTable;
 
-    // Shared knobs (--jobs/--profile) live in
-    // bench_common; only the positional machine name is local.
-    bench::parseArgs(argc, argv);
     core::StudyConfig cfg;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "itanium2") == 0)
             cfg.machine = core::MachineKind::Itanium2Quad;
     }
-    cfg.jobs = bench::studyJobs();
+    cfg.jobs = 0;
     cfg.onPoint = [](const core::RunResult &r) {
         std::fprintf(stderr, "  measured W=%u P=%u C=%u\n", r.warehouses,
                      r.processors, r.clients);

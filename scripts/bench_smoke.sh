@@ -1,25 +1,20 @@
 #!/usr/bin/env bash
-# Perf + bit-exactness smoke check.
+# Determinism smoke check for odbsim_paper, the program that prints the
+# paper.
 #
-# Builds a Release tree, runs the hot-path baseline bench (which
-# enforces the >= 1.5x event-queue and >= 1.3x coherence-directory
-# speedup gates and cross-checks the flat directory against the legacy
-# implementation), then regenerates both scaling-study CSVs into
-# scratch caches — once serially, once with the parallel
-# longest-first scheduler (--jobs 0), and once with --jobs 3 (an odd
-# worker count) — and diffs every regeneration against the goldens
-# committed at the repo root.
+# Builds odbsim_paper in a Release tree and prints the whole paper
+# twice, at --jobs 0 and at --jobs 3 (an odd worker count), into two
+# temporary CSV directories: stdout and all four CSVs (both studies, the
+# islands sweep and the faults study) must match byte for byte. Then
+# fig19_itanium2 at --jobs 1 measures both studies serially; its two
+# study CSVs must match the other runs' and the goldens at the repo
+# root. The goldens are gitignored, so a fresh checkout seeds them
+# from that serial run.
 #
-# Every bench invocation pins ODBSIM_CSV_DIR to a scratch directory
-# (removed on exit), so the script never leaves stray study CSVs in
-# the source tree or the invoking directory.
-#
-# Any single differing CSV byte fails the script. A perf-gate miss
-# (bench exit code 2) fails the script unless ODBSIM_PERF_GATE=warn,
-# in which case it is reported and the script continues — CI uses warn
-# because shared runners are too noisy for a hard wall-clock gate; the
-# bit-exactness diffs remain fatal everywhere. Any other bench failure
-# (e.g. the directory differential cross-check) is always fatal.
+# Any differing byte fails the script, and so does any nonzero exit of
+# odbsim_paper, 3 from the islands or faults self-check included. The
+# temporary directories are removed on exit, so no CSV lands in the
+# source tree except a seeded golden.
 #
 # Usage: scripts/bench_smoke.sh [build-dir]   (default: build-smoke)
 
@@ -27,113 +22,69 @@ set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="${1:-$repo_root/build-smoke}"
-perf_gate="${ODBSIM_PERF_GATE:-strict}"
 
 echo "== configure + build (Release) =="
 cmake -B "$build_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release
-cmake --build "$build_dir" -j "$(nproc)" --target \
-    bench_hotpath bench_fig09_cpi bench_fig19_itanium2 bench_islands \
-    bench_faults
+cmake --build "$build_dir" -j "$(nproc)" --target odbsim_paper
+paper="$build_dir/bench/odbsim_paper"
 
-echo "== hot-path baseline (1.5x queue gate, 1.3x directory gate) =="
-out_json="$build_dir/BENCH_hotpath.json"
-bench_rc=0
-"$build_dir/bench/bench_hotpath" --out "$out_json" || bench_rc=$?
-if [ "$bench_rc" -eq 2 ]; then
-    if [ "$perf_gate" = "warn" ]; then
-        echo "WARN perf gate missed (ODBSIM_PERF_GATE=warn: continuing)" >&2
-    else
-        echo "FAIL perf gate missed (set ODBSIM_PERF_GATE=warn to downgrade)" >&2
-        exit 2
+tmp_dir="$(mktemp -d)"
+trap 'rm -rf "$tmp_dir"' EXIT
+
+# run <dir> <args...>: odbsim_paper's stdout goes to <dir>/stdout, its
+# CSVs into <dir>; a nonzero exit stops the script with that code.
+run() {
+    local dir="$1"
+    shift
+    mkdir -p "$dir"
+    local rc=0
+    "$paper" "$@" --csv-dir "$dir" > "$dir/stdout" || rc=$?
+    if [ "$rc" -ne 0 ]; then
+        echo "FAIL odbsim_paper $* exited with $rc" >&2
+        exit "$rc"
     fi
-elif [ "$bench_rc" -ne 0 ]; then
-    echo "FAIL bench_hotpath exited with $bench_rc" >&2
-    exit "$bench_rc"
-fi
-
-status=0
-check_goldens() {
-    local cache_dir="$1" label="$2"
-    for golden in odbsim_study_xeon-quad-mp.csv odbsim_study_itanium2-quad.csv; do
-        if [ ! -f "$repo_root/$golden" ]; then
-            # The goldens are generated artifacts (gitignored): a fresh
-            # checkout seeds them from the first serial regeneration;
-            # every later regeneration — including the parallel one in
-            # this very run — is diffed against that seed.
-            if [ "$label" = "serial" ]; then
-                cp "$cache_dir/$golden" "$repo_root/$golden"
-                echo "SEED $golden was absent; seeded from the serial regeneration"
-            else
-                echo "FAIL $golden absent and not seedable from the $label run" >&2
-                status=1
-            fi
-            continue
-        fi
-        if diff -q "$repo_root/$golden" "$cache_dir/$golden" > /dev/null; then
-            echo "OK  $golden is bit-identical ($label)"
-        else
-            echo "FAIL $golden differs from golden ($label)" >&2
-            status=1
-        fi
-    done
 }
 
-echo "== regenerate study CSVs with a cold cache (serial) =="
-cache_serial="$(mktemp -d)"
-cache_parallel="$(mktemp -d)"
-trap 'rm -rf "$cache_serial" "$cache_parallel"' EXIT
-ODBSIM_CSV_DIR="$cache_serial" "$build_dir/bench/bench_fig09_cpi" > /dev/null
-ODBSIM_CSV_DIR="$cache_serial" "$build_dir/bench/bench_fig19_itanium2" > /dev/null
-check_goldens "$cache_serial" "serial"
+status=0
+# same <what> <file> <file>: report whether two files are identical.
+same() {
+    if cmp -s "$2" "$3"; then
+        echo "OK  $1"
+    else
+        echo "FAIL $1" >&2
+        status=1
+    fi
+}
 
-echo "== regenerate study CSVs with a cold cache (--jobs 0, longest-first) =="
-ODBSIM_CSV_DIR="$cache_parallel" "$build_dir/bench/bench_fig09_cpi" -j 0 > /dev/null
-ODBSIM_CSV_DIR="$cache_parallel" "$build_dir/bench/bench_fig19_itanium2" -j 0 > /dev/null
-check_goldens "$cache_parallel" "parallel"
+echo "== whole paper, --jobs 0 =="
+run "$tmp_dir/j0" -j 0
+echo "== whole paper, --jobs 3 =="
+run "$tmp_dir/j3" -j 3
+for f in stdout odbsim_study_xeon-quad-mp.csv \
+        odbsim_study_itanium2-quad.csv \
+        odbsim_islands_xeon-quad-mp.csv odbsim_faults_xeon-quad-mp.csv; do
+    same "$f is bit-identical (--jobs 0 vs --jobs 3)" \
+        "$tmp_dir/j0/$f" "$tmp_dir/j3/$f"
+done
 
-echo "== regenerate study CSVs with a cold cache (--jobs 3) =="
-# An odd worker count: the goldens must still come out byte-exact.
-cache_jobs3="$(mktemp -d)"
-trap 'rm -rf "$cache_serial" "$cache_parallel" "$cache_jobs3"' EXIT
-ODBSIM_CSV_DIR="$cache_jobs3" "$build_dir/bench/bench_fig09_cpi" \
-    --jobs 3 > /dev/null
-ODBSIM_CSV_DIR="$cache_jobs3" "$build_dir/bench/bench_fig19_itanium2" \
-    --jobs 3 > /dev/null
-check_goldens "$cache_jobs3" "jobs3"
-
-echo "== islands deployment sweep (serial vs --jobs 0 must be bit-identical) =="
-# The sweep self-checks its crossover physics (exit 3 on failure); the
-# serial and parallel CSVs are then diffed for the determinism
-# contract. The islands CSV is derived output, not a committed golden.
-ODBSIM_CSV_DIR="$cache_serial" "$build_dir/bench/bench_islands" > /dev/null
-ODBSIM_CSV_DIR="$cache_parallel" "$build_dir/bench/bench_islands" -j 0 > /dev/null
-if diff -q "$cache_serial/odbsim_islands_xeon-quad-mp.csv" \
-        "$cache_parallel/odbsim_islands_xeon-quad-mp.csv" > /dev/null; then
-    echo "OK  odbsim_islands_xeon-quad-mp.csv is bit-identical (serial vs parallel)"
-else
-    echo "FAIL odbsim_islands_xeon-quad-mp.csv differs between serial and parallel runs" >&2
-    status=1
-fi
-
-echo "== fault degradation study (serial vs --jobs 0 must be bit-identical) =="
-# The study self-checks its degradation physics (exit 3 on failure):
-# monotone tps decay with the fault scale and recovery back to >= 95%
-# of the pre-crash rate. The serial and parallel CSVs are then diffed
-# for the determinism contract. Note the scale-0 baseline rows inside
-# the CSV run with the default (inert) fault plan, so this section
-# also exercises the inertness path end to end.
-ODBSIM_CSV_DIR="$cache_serial" "$build_dir/bench/bench_faults" > /dev/null
-ODBSIM_CSV_DIR="$cache_parallel" "$build_dir/bench/bench_faults" -j 0 > /dev/null
-if diff -q "$cache_serial/odbsim_faults_xeon-quad-mp.csv" \
-        "$cache_parallel/odbsim_faults_xeon-quad-mp.csv" > /dev/null; then
-    echo "OK  odbsim_faults_xeon-quad-mp.csv is bit-identical (serial vs parallel)"
-else
-    echo "FAIL odbsim_faults_xeon-quad-mp.csv differs between serial and parallel runs" >&2
-    status=1
-fi
+echo "== fig19_itanium2, --jobs 1 (both studies, serially) =="
+run "$tmp_dir/j1" fig19_itanium2 -j 1
+for golden in odbsim_study_xeon-quad-mp.csv odbsim_study_itanium2-quad.csv; do
+    same "$golden is bit-identical (--jobs 1 vs --jobs 0)" \
+        "$tmp_dir/j1/$golden" "$tmp_dir/j0/$golden"
+    if [ ! -f "$repo_root/$golden" ]; then
+        # A fresh checkout has no golden: seed it from the serial run;
+        # every later run is diffed against that seed.
+        cp "$tmp_dir/j1/$golden" "$repo_root/$golden"
+        echo "SEED $golden was absent; seeded from the serial run"
+        continue
+    fi
+    same "$golden is bit-identical to the golden (--jobs 1)" \
+        "$repo_root/$golden" "$tmp_dir/j1/$golden"
+done
 
 if [ "$status" -eq 0 ]; then
-    echo "bench_smoke: PASS ($out_json)"
+    echo "bench_smoke: PASS"
 else
     echo "bench_smoke: FAIL — simulated results changed" >&2
 fi

@@ -21,6 +21,7 @@ ClientTuner::tune(OltpConfiguration cfg, double target_util,
         cfg.clients = c;
         const RunResult r = ExperimentRunner::run(cfg, knobs);
         ++out.trials;
+        out.eventsFired += r.eventsFired;
         out.clients = c;
         out.achievedUtil = r.cpuUtil;
 

@@ -10,6 +10,8 @@
 #ifndef ODBSIM_CORE_CLIENT_TUNER_HH
 #define ODBSIM_CORE_CLIENT_TUNER_HH
 
+#include <cstdint>
+
 #include "core/experiment.hh"
 
 namespace odbsim::core
@@ -23,6 +25,8 @@ struct TunedClients
     /** Utilization stopped improving before the target was met. */
     bool ioBound = false;
     unsigned trials = 0;
+    /** Simulation events fired over all trials (host-side profiling). */
+    std::uint64_t eventsFired = 0;
 };
 
 /**

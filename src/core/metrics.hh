@@ -113,8 +113,8 @@ struct RunResult
      * Wall-clock cost of producing this point. eventsFired is
      * deterministic (a property of the simulation), wallSeconds is
      * not — neither participates in the golden study CSVs, which must
-     * regenerate bit-identically; saveStudyProfileCsv writes them to a
-     * separate sidecar instead.
+     * regenerate bit-identically; odbsim_paper prints them on each
+     * simulation's progress line instead.
      * @{
      */
     /** Host wall-clock seconds consumed by the whole run. */

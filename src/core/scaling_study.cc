@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <mutex>
 #include <numeric>
 #include <vector>
@@ -48,13 +49,15 @@ StudyResult::forProcessors(unsigned p) const
     odbsim_fatal("no series for ", p, " processors in study result");
 }
 
-StudyResult
-ScalingStudy::run(const StudyConfig &cfg)
+std::vector<OltpConfiguration>
+ScalingStudy::grid(const StudyConfig &cfg)
 {
     if (cfg.warehouses.empty() || cfg.processors.empty())
         odbsim_fatal("a study needs at least 1 warehouse count and 1 "
                      "processor count, got ", cfg.warehouses.size(),
                      " and ", cfg.processors.size());
+    std::vector<OltpConfiguration> points;
+    points.reserve(cfg.processors.size() * cfg.warehouses.size());
     for (const unsigned p : cfg.processors) {
         for (const unsigned w : cfg.warehouses) {
             OltpConfiguration point;
@@ -64,21 +67,35 @@ ScalingStudy::run(const StudyConfig &cfg)
             point.topology = cfg.topology;
             point.placement = cfg.placement;
             ExperimentRunner::checkInputs(point, cfg.knobs);
+            points.push_back(point);
         }
     }
+    return points;
+}
 
+StudyResult
+ScalingStudy::assemble(const StudyConfig &cfg,
+                       std::vector<RunResult> results)
+{
     const std::size_t nw = cfg.warehouses.size();
-    const std::size_t total = cfg.processors.size() * nw;
-
-    // Pre-size the grid so every point has a fixed slot: results are
-    // collected by grid index, never by completion order, which is
-    // what keeps the study bit-identical at every job count.
+    odbsim_assert(results.size() == cfg.processors.size() * nw,
+                  "a study of ", cfg.processors.size() * nw,
+                  " points got ", results.size(), " results");
     StudyResult out;
     out.series.resize(cfg.processors.size());
     for (std::size_t pi = 0; pi < cfg.processors.size(); ++pi) {
         out.series[pi].processors = cfg.processors[pi];
-        out.series[pi].points.resize(nw);
+        out.series[pi].points.assign(
+            std::make_move_iterator(results.begin() + pi * nw),
+            std::make_move_iterator(results.begin() + (pi + 1) * nw));
     }
+    return out;
+}
+
+StudyResult
+ScalingStudy::run(const StudyConfig &cfg)
+{
+    const std::vector<OltpConfiguration> points = grid(cfg);
 
     // Run the points longest-first by warehouses × processors, which
     // tracks simulated work: the most expensive simulations start
@@ -86,34 +103,29 @@ ScalingStudy::run(const StudyConfig &cfg)
     // the end. The sort is stable, so equal-cost points keep grid
     // order and the dispatch sequence is fixed for a given config.
     const auto cost = [&](std::size_t g) {
-        return std::uint64_t{cfg.warehouses[g % nw]} *
-               cfg.processors[g / nw];
+        return std::uint64_t{points[g].warehouses} * points[g].processors;
     };
-    std::vector<std::size_t> order(total);
+    std::vector<std::size_t> order(points.size());
     std::iota(order.begin(), order.end(), std::size_t{0});
     std::stable_sort(order.begin(), order.end(),
                      [&](std::size_t a, std::size_t b) {
                          return cost(a) > cost(b);
                      });
 
+    // Every point has a fixed slot: results are collected by grid
+    // index, never by completion order, which is what keeps the study
+    // bit-identical at every job count.
+    std::vector<RunResult> results(points.size());
     std::mutex progress_mutex;
-    parallelFor(cfg.jobs, total, [&](std::size_t k) {
-        const std::size_t pi = order[k] / nw;
-        const std::size_t wi = order[k] % nw;
-        OltpConfiguration point;
-        point.warehouses = cfg.warehouses[wi];
-        point.processors = cfg.processors[pi];
-        point.machine = cfg.machine;
-        point.topology = cfg.topology;
-        point.placement = cfg.placement;
-        RunResult r = ExperimentRunner::run(point, cfg.knobs);
+    parallelFor(cfg.jobs, points.size(), [&](std::size_t k) {
+        RunResult r = ExperimentRunner::run(points[order[k]], cfg.knobs);
         if (cfg.onPoint) {
             std::lock_guard<std::mutex> lock(progress_mutex);
             cfg.onPoint(r);
         }
-        out.series[pi].points[wi] = std::move(r);
+        results[order[k]] = std::move(r);
     });
-    return out;
+    return assemble(cfg, std::move(results));
 }
 
 } // namespace odbsim::core

@@ -119,14 +119,31 @@ class ScalingStudy
 {
   public:
     /**
+     * @brief The grid points of @p cfg, in grid order: processors
+     * outer, warehouses inner, so point g has warehouses[g % W] and
+     * processors[g / W] for W = cfg.warehouses.size().
+     *
+     * An empty grid, or any point with inputs
+     * ExperimentRunner::checkInputs rejects under cfg.knobs, stops
+     * the process with a one-line fatal message.
+     */
+    static std::vector<OltpConfiguration> grid(const StudyConfig &cfg);
+
+    /**
+     * @brief Arrange @p results, measured for grid(cfg) and indexed
+     * the same way, into one series per processor count.
+     */
+    static StudyResult assemble(const StudyConfig &cfg,
+                                std::vector<RunResult> results);
+
+    /**
      * @brief Measure every (warehouses, processors) grid point.
      *
-     * The independent points run longest-first on parallelFor with
-     * cfg.jobs workers; results land in their grid slot regardless of
-     * completion order, so the returned StudyResult is the same at
-     * every job count. An empty grid, or any point with inputs
-     * ExperimentRunner::checkInputs rejects, stops the process with a
-     * one-line fatal message before any point runs. A failure
+     * The independent points of grid(cfg) run longest-first on
+     * parallelFor with cfg.jobs workers; results land in their grid
+     * slot regardless of completion order, so the returned
+     * StudyResult is the same at every job count. Bad inputs stop the
+     * process as grid() does, before any point runs. A failure
      * (fatal/panic) inside a point terminates the process.
      */
     static StudyResult run(const StudyConfig &cfg);

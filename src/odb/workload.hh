@@ -67,8 +67,8 @@ class OdbWorkload
     std::size_t parkedCount() const { return parked_.size(); }
     /**
      * Commits whose completion fell in [@p a, @p b), from the 10 ms
-     * commit timeline kept on crash-enabled runs — how bench_faults
-     * reads the throughput dip and the post-recovery ramp.
+     * commit timeline kept on crash-enabled runs — how the faults
+     * study reads the throughput dip and the post-recovery ramp.
      */
     std::uint64_t commitsBetween(Tick a, Tick b) const;
     /** @} */

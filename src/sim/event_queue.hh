@@ -31,8 +31,7 @@
  *  - EventQueueKind::heap: the previous global binary heap of 24-byte
  *    POD entries with lazy cancel reclamation. Kept as the differential
  *    oracle for the wheel (both fire in identical (when, seq) order,
- *    so whole runs are bit-identical across kinds) and for A/B
- *    measurement in bench_hotpath.
+ *    so whole runs are bit-identical across kinds).
  */
 
 #ifndef ODBSIM_SIM_EVENT_QUEUE_HH

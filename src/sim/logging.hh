@@ -25,7 +25,8 @@ std::string
 concat(Args &&...args)
 {
     std::ostringstream os;
-    (os << ... << args);
+    if constexpr (sizeof...(args) > 0)
+        (os << ... << args);
     return os.str();
 }
 

@@ -30,8 +30,9 @@ TEST(TextTable, FormatsAlignedColumns)
     while (pos < s.size()) {
         const std::size_t nl = s.find('\n', pos);
         const std::size_t len = nl - pos;
-        if (prev != std::string::npos)
+        if (prev != std::string::npos) {
             EXPECT_EQ(len, prev);
+        }
         prev = len;
         pos = nl + 1;
     }

@@ -2,15 +2,21 @@
  * @file
  * Tests for the row-lock manager: grant/queue semantics, FIFO
  * hand-off with wake-up, re-entrancy, statistics, releaseAll wake
- * ordering, and fault-injected lock-wait timeouts (including the
- * same-tick grant-vs-timeout race).
+ * ordering, fault-injected lock-wait timeouts (including the
+ * same-tick grant-vs-timeout race), and a seeded differential against
+ * a std::unordered_map + std::deque reference.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <memory>
+#include <unordered_map>
+#include <vector>
 
 #include "db/lock_manager.hh"
+#include "sim/rng.hh"
 
 namespace
 {
@@ -343,6 +349,185 @@ TEST(LockTimeout, SameTickGrantVsTimeoutIsDeterministic)
     EXPECT_EQ(ra.first, 1u);
     EXPECT_EQ(ra.second, nullptr);
     EXPECT_EQ(ra, rb);
+}
+
+/**
+ * The lock table as a plain reference: a std::unordered_map from key
+ * to the holder and a std::deque of waiters, granted oldest first.
+ */
+class ReferenceLocks
+{
+  public:
+    bool
+    acquire(os::Process *p, LockKey key)
+    {
+        ++acquires_;
+        Resource &res = table_[key];
+        if (res.holder == nullptr) {
+            res.holder = p;
+            return true;
+        }
+        if (res.holder == p)
+            return true;
+        ++conflicts_;
+        res.waiters.push_back(p);
+        ++waiters_;
+        return false;
+    }
+
+    void
+    release(LockKey key)
+    {
+        const auto it = table_.find(key);
+        ASSERT_NE(it, table_.end()) << key;
+        Resource &res = it->second;
+        if (res.waiters.empty()) {
+            table_.erase(it);
+            return;
+        }
+        res.holder = res.waiters.front();
+        res.waiters.pop_front();
+        --waiters_;
+    }
+
+    os::Process *
+    holderOf(LockKey key) const
+    {
+        const auto it = table_.find(key);
+        return it == table_.end() ? nullptr : it->second.holder;
+    }
+
+    std::size_t heldCount() const { return table_.size(); }
+    std::size_t waiterCount() const { return waiters_; }
+
+    /** The longest wait queue on any one key. */
+    std::size_t
+    deepestQueue() const
+    {
+        std::size_t deepest = 0;
+        for (const auto &[key, res] : table_)
+            deepest = std::max(deepest, res.waiters.size());
+        return deepest;
+    }
+
+    std::uint64_t acquires() const { return acquires_; }
+    std::uint64_t conflicts() const { return conflicts_; }
+
+  private:
+    struct Resource
+    {
+        os::Process *holder = nullptr;
+        std::deque<os::Process *> waiters;
+    };
+
+    std::unordered_map<LockKey, Resource> table_;
+    std::size_t waiters_ = 0;
+    std::uint64_t acquires_ = 0;
+    std::uint64_t conflicts_ = 0;
+};
+
+TEST(LockManager, SeededChurnMatchesADequeReference)
+{
+    // Four processes over six keys, so most acquires conflict and
+    // keys often queue several waiters. Each process acquires in
+    // ascending key order, as planners emit locks, so the waits never
+    // deadlock and some process is always free to act. A blocked
+    // process does nothing until a release hands it its lock.
+    constexpr unsigned kProcs = 4;
+    constexpr LockKey kKeys = 6;
+    os::System sys([] {
+        os::SystemConfig cfg;
+        cfg.numCpus = 1;
+        cfg.core.samplePeriod = 16;
+        cfg.disks.dataDisks = 1;
+        cfg.disks.logDisks = 1;
+        return cfg;
+    }());
+    std::vector<os::Process *> procs;
+    for (unsigned i = 0; i < kProcs; ++i)
+        procs.push_back(sys.spawn(std::make_unique<ParkedProcess>()));
+    sys.runFor(tickPerMs); // Let everyone park.
+
+    LockManager locks;
+    ReferenceLocks ref;
+    std::vector<std::vector<LockKey>> held(kProcs);
+    std::vector<bool> blocked(kProcs, false);
+    Rng rng(2024);
+    std::size_t hand_offs = 0, deep_queues = 0;
+
+    // Release @p key in the reference; whoever it hands the key to
+    // now holds it and may act again.
+    const auto releaseRef = [&](LockKey key) {
+        ref.release(key);
+        os::Process *h = ref.holderOf(key);
+        for (unsigned j = 0; j < kProcs; ++j) {
+            if (procs[j] == h) {
+                EXPECT_TRUE(blocked[j]) << j;
+                blocked[j] = false;
+                held[j].push_back(key);
+                ++hand_offs;
+            }
+        }
+    };
+
+    for (int step = 0; step < 20000; ++step) {
+        SCOPED_TRACE("step " + std::to_string(step));
+        unsigned i;
+        do {
+            i = static_cast<unsigned>(rng.below(kProcs));
+        } while (blocked[i]);
+        os::Process *p = procs[i];
+        const LockKey lo =
+            held[i].empty()
+                ? 0
+                : *std::max_element(held[i].begin(), held[i].end()) + 1;
+        const std::uint64_t op = rng.below(10);
+        std::vector<LockKey> touched;
+        if (op < 6 && lo < kKeys) {
+            // Acquire a key above every key held; now and then
+            // re-acquire one already held.
+            const LockKey key = !held[i].empty() && rng.below(8) == 0
+                                    ? held[i][rng.below(held[i].size())]
+                                    : lo + rng.below(kKeys - lo);
+            const bool granted = locks.acquire(p, key);
+            ASSERT_EQ(granted, ref.acquire(p, key)) << key;
+            if (!granted)
+                blocked[i] = true;
+            else if (std::find(held[i].begin(), held[i].end(), key) ==
+                     held[i].end())
+                held[i].push_back(key);
+            touched.push_back(key);
+        } else if (op < 9 && !held[i].empty()) {
+            // Release one held lock.
+            const std::size_t k = rng.below(held[i].size());
+            const LockKey key = held[i][k];
+            held[i].erase(held[i].begin() + k);
+            locks.release(p, key, sys);
+            releaseRef(key);
+            touched.push_back(key);
+        } else if (!held[i].empty()) {
+            // Release everything, as at commit.
+            touched.swap(held[i]);
+            std::vector<LockKey> keys = touched;
+            locks.releaseAll(p, keys, sys);
+            EXPECT_TRUE(keys.empty());
+            for (const LockKey key : touched)
+                releaseRef(key);
+        }
+        for (const LockKey key : touched)
+            ASSERT_EQ(locks.holderOf(key), ref.holderOf(key)) << key;
+        ASSERT_EQ(locks.heldCount(), ref.heldCount());
+        ASSERT_EQ(locks.waiterCount(), ref.waiterCount());
+        ASSERT_EQ(locks.acquires(), ref.acquires());
+        ASSERT_EQ(locks.conflicts(), ref.conflicts());
+        if (ref.deepestQueue() >= 2)
+            ++deep_queues;
+    }
+    // The stream must reach the cases that tell FIFO from any other
+    // hand-off order: many hand-offs, and keys with two or more
+    // waiters.
+    EXPECT_GT(hand_offs, 1000u);
+    EXPECT_GT(deep_queues, 1000u);
 }
 
 TEST(LockManager, StatsCountAcquires)

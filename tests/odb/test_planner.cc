@@ -113,9 +113,10 @@ TEST(TxnPlanner, ReadOnlyTransactionsDoNotModify)
     for (const TxnType type : {TxnType::OrderStatus, TxnType::StockLevel}) {
         const auto t = rig.planner.plan(type, rig.rng, 0);
         for (const auto &a : t.actions) {
-            if (a.kind() == ActionKind::Touch)
+            if (a.kind() == ActionKind::Touch) {
                 EXPECT_NE(a.touch(), db::TouchKind::HeapModify)
                     << toString(type);
+            }
         }
         EXPECT_EQ(countKind(t, ActionKind::Lock), 0u);
     }

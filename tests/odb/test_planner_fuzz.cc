@@ -63,8 +63,9 @@ TEST_P(PlannerFuzz, TracesSatisfyReplayInvariants)
                 // Locks are acquired in nondecreasing global order
                 // (the deadlock-freedom invariant) until the first
                 // early release.
-                if (!saw_unlock)
+                if (!saw_unlock) {
                     EXPECT_GE(act.target, last_lock);
+                }
                 last_lock = act.target;
                 ++held[act.target];
                 EXPECT_LE(held[act.target], 1) << "double lock";

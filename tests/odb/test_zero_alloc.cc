@@ -80,25 +80,28 @@ operator new[](std::size_t n)
     throw std::bad_alloc();
 }
 
-void
+// The deletes stay out of line: inlined, gcc sees std::free() take a
+// pointer from operator new and warns (-Wmismatched-new-delete),
+// although this operator new allocates with std::malloc.
+[[gnu::noinline]] void
 operator delete(void *p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p, std::size_t) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void *p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void *p, std::size_t) noexcept
 {
     std::free(p);

@@ -31,6 +31,16 @@ twoSocketConfig()
     return cfg;
 }
 
+/** "<prefix><i>", built by appending: gcc 12 misreads the prepend in
+ *  `"q" + std::to_string(i)` as an overlapping copy (-Wrestrict). */
+std::string
+procName(const char *prefix, int i)
+{
+    std::string name = prefix;
+    name += std::to_string(i);
+    return name;
+}
+
 /** Runs forever in fixed-size chunks, counting its dispatches. */
 class SpinProcess : public Process
 {
@@ -70,7 +80,7 @@ TEST(Placement, PinnedProcessesNeverRunOnExcludedCpus)
     System sys(twoSocketConfig());
     for (int i = 0; i < 4; ++i) {
         auto p =
-            std::make_unique<SpinProcess>("pin" + std::to_string(i));
+            std::make_unique<SpinProcess>(procName("pin", i));
         p->setCpuAffinity(sys.socketAffinityMask(1, 1)); // CPUs 2, 3.
         sys.spawn(std::move(p));
     }
@@ -90,7 +100,7 @@ TEST(Placement, ReadyWorkQueuesOnItsAllowedCpu)
     SpinProcess *procs[3];
     for (int i = 0; i < 3; ++i) {
         auto p =
-            std::make_unique<SpinProcess>("q" + std::to_string(i));
+            std::make_unique<SpinProcess>(procName("q", i));
         p->setCpuAffinity(1u << 1);
         procs[i] = p.get();
         sys.spawn(std::move(p));
@@ -116,9 +126,9 @@ TEST(Placement, ExplicitFullMaskMatchesDefaultSchedule)
     System pinned(cfg);
     for (int i = 0; i < 6; ++i) {
         unpinned.spawn(
-            std::make_unique<SpinProcess>("p" + std::to_string(i)));
+            std::make_unique<SpinProcess>(procName("p", i)));
         auto p =
-            std::make_unique<SpinProcess>("p" + std::to_string(i));
+            std::make_unique<SpinProcess>(procName("p", i));
         p->setCpuAffinity(0b1111u); // All four CPUs, explicitly.
         pinned.spawn(std::move(p));
     }
@@ -139,7 +149,7 @@ TEST(Placement, PinnedScheduleIsDeterministic)
         System sys(twoSocketConfig());
         for (int i = 0; i < 5; ++i) {
             auto p = std::make_unique<SpinProcess>(
-                "d" + std::to_string(i));
+                procName("d", i));
             p->setCpuAffinity(
                 i % 2 == 0 ? 0b0011u : 0b1100u);
             sys.spawn(std::move(p));
