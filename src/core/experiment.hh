@@ -69,9 +69,6 @@ struct RunKnobs
     std::uint32_t samplePeriod = 16;
     /** Master seed; all per-run streams derive from it. */
     std::uint64_t seed = 42;
-    /** Pre-populate the buffer cache in hotness order (substitute for
-     *  the paper's 20-minute warm-up). */
-    bool instantWarm = true;
     /** IOQ residency (bus cycles) of the 1P baseline for the Table 4
      *  L3 stall formula; the paper measured 102. */
     double ioq1pCycles = 102.0;

@@ -35,16 +35,6 @@ SetAssocCache::SetAssocCache(std::string name, const CacheGeometry &geom)
 }
 
 void
-SetAssocCache::flush()
-{
-    for (auto &s : sets_) {
-        s.valid = 0;
-        s.dirty = 0;
-    }
-    valid_ = 0;
-}
-
-void
 SetAssocCache::resetStats()
 {
     accesses_ = 0;

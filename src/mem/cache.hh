@@ -100,9 +100,6 @@ class SetAssocCache
      */
     bool invalidate(Addr addr);
 
-    /** Drop every line (e.g. between measurement runs). */
-    void flush();
-
     /** Number of currently valid lines. */
     std::uint64_t validLines() const { return valid_; }
 

@@ -31,10 +31,4 @@ CoherenceDirectory::onDmaFill(Addr line_addr)
     table_.erase(line_addr);
 }
 
-void
-CoherenceDirectory::clear()
-{
-    table_.clear();
-}
-
 } // namespace odbsim::mem

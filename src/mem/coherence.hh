@@ -12,11 +12,11 @@
  * sim::FlatMap — the flat open-addressing table that originated here
  * and was extracted to sim/flat_map.hh once the db layer needed the
  * same discipline: packed 16-byte slots, power-of-two capacity with
- * Fibonacci hashing and linear probing, backward-shift deletion (no
- * tombstones, so probe chains never rot), and an O(1) clear() via
- * generation stamping. After warm-up the table performs zero heap
- * allocations — growth only happens while the tracked-line population
- * reaches a new high-water mark (observable via tableAllocations()).
+ * Fibonacci hashing and linear probing, and backward-shift deletion
+ * (no tombstones, so probe chains never rot). After warm-up the table
+ * performs zero heap allocations — growth only happens while the
+ * tracked-line population reaches a new high-water mark (observable
+ * via tableAllocations()).
  * MemorySystem reserve()s four times the lines its caches can keep
  * resident, so the load stays near 1/8: every L3 miss erases one
  * entry and inserts another, and at higher loads those probe-cluster
@@ -104,9 +104,6 @@ class CoherenceDirectory
     /** DMA overwrote the line: all cached copies are stale. */
     void onDmaFill(Addr line_addr);
 
-    /** Drop all state (O(1): bumps the generation stamp). */
-    void clear();
-
     /** Lines currently tracked. */
     std::size_t trackedLines() const { return table_.size(); }
 
@@ -152,9 +149,9 @@ class CoherenceDirectory
     };
 
     /**
-     * Tracked lines. FlatMap keeps the generation stamps in a side
-     * array, so a stored slot is exactly {Addr, LineState} — the same
-     * 16 packed bytes the original in-class table used.
+     * Tracked lines. FlatMap keeps its liveness flags in a side array,
+     * so a stored slot is exactly {Addr, LineState} — the same 16
+     * packed bytes the original in-class table used.
      */
     using Table = sim::FlatMap<Addr, LineState>;
     static_assert(sizeof(Table::Slot) == 16,

@@ -56,13 +56,6 @@ CpuCacheHierarchy::resetCounters()
     l3_.resetStats();
 }
 
-void
-CpuCacheHierarchy::flush()
-{
-    l2_.flush();
-    l3_.flush();
-}
-
 CacheGeometry
 MemorySystem::scaleGeometry(const CacheGeometry &g, std::uint32_t factor,
                             const char *name)
@@ -301,18 +294,6 @@ MemorySystem::resetStats()
         link_->resetStats();
     localMisses_ = 0;
     remoteMisses_ = 0;
-}
-
-void
-MemorySystem::flushAll()
-{
-    for (auto &c : cpus_)
-        c->flush();
-    if (sharedL3_)
-        sharedL3_->flush();
-    for (CoherenceDirectory *d : dirs_)
-        d->clear();
-    resetStats();
 }
 
 } // namespace odbsim::mem

@@ -169,9 +169,6 @@ class CpuCacheHierarchy
         l3_.invalidate(c);
     }
 
-    /** Drop all cached state. */
-    void flush();
-
     /** The scaled tag stores (read-only). @{ */
     const SetAssocCache &l2() const { return l2_; }
     const SetAssocCache &l3() const { return l3_; }
@@ -372,9 +369,6 @@ class MemorySystem
 
     /** Reset statistics on every component (cache state is kept). */
     void resetStats();
-
-    /** Drop all cached state and statistics (home map is kept). */
-    void flushAll();
 
   private:
     static CacheGeometry scaleGeometry(const CacheGeometry &g,

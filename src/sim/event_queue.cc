@@ -14,7 +14,7 @@ namespace
 constexpr Tick maxTick = std::numeric_limits<Tick>::max();
 } // namespace
 
-EventQueue::EventQueue(EventQueueKind kind) : kind_(kind)
+EventQueue::EventQueue()
 {
     for (auto &level : bucketHead_)
         level.fill(noSlot);
@@ -60,9 +60,8 @@ EventQueue::cancelSlot(std::uint32_t idx, std::uint32_t gen)
         releaseSlot(idx);
         return;
     }
-    // Heap entries (heap kind / wheel overflow) and collected due
-    // cohorts reclaim lazily: the entry is dropped, and the slot
-    // recycled, when it surfaces.
+    // A collected due cohort reclaims lazily: the entry is dropped,
+    // and the slot recycled, when refillDue() reaches it.
     s.cancelled = true;
 }
 
@@ -106,26 +105,12 @@ EventQueue::scheduleSlot(Tick when)
     s.when = when;
     s.seq = nextSeq_++;
     ++live_;
-    if (kind_ == EventQueueKind::heap) {
-        heap_.push_back(HeapItem{when, s.seq, idx});
-        std::push_heap(heap_.begin(), heap_.end(), Later{});
-    } else {
-        // An empty wheel can fast-forward to the present: there is no
-        // live event below curTick_ for the position to stay under.
-        if (live_ == 1 && wheelPos_ < curTick_)
-            wheelPos_ = curTick_;
-        placeSlot(idx);
-    }
+    // An empty wheel can fast-forward to the present: there is no live
+    // event below curTick_ for the position to stay under.
+    if (live_ == 1 && wheelPos_ < curTick_)
+        wheelPos_ = curTick_;
+    placeSlot(idx);
     return EventHandle(this, idx, s.gen);
-}
-
-EventQueue::HeapItem
-EventQueue::popTop(std::vector<HeapItem> &heap)
-{
-    const HeapItem top = heap.front();
-    std::pop_heap(heap.begin(), heap.end(), Later{});
-    heap.pop_back();
-    return top;
 }
 
 void
@@ -183,18 +168,10 @@ EventQueue::unlinkFromBucket(std::uint32_t idx)
 void
 EventQueue::placeSlot(std::uint32_t idx)
 {
-    Slot &s = slotAt(idx);
-    if (blockOf(s.when) != blockOf(wheelPos_)) {
-        // Beyond the wheel's addressable block: park in the overflow
-        // heap until the position reaches the event's block.
-        s.where = Where::overflow;
-        heap_.push_back(HeapItem{s.when, s.seq, idx});
-        std::push_heap(heap_.begin(), heap_.end(), Later{});
-        return;
-    }
-    // Same block: the level is the highest digit in which the event's
-    // time differs from the wheel position; equal times land in the
-    // level-0 bucket of the position itself (the due-now cohort).
+    const Slot &s = slotAt(idx);
+    // The level is the highest digit in which the event's time differs
+    // from the wheel position; equal times land in the level-0 bucket
+    // of the position itself (the due-now cohort).
     const Tick x = s.when ^ wheelPos_;
     const unsigned level =
         x ? (std::bit_width(x) - 1) / kWheelLevelShift : 0u;
@@ -205,17 +182,21 @@ EventQueue::placeSlot(std::uint32_t idx)
 void
 EventQueue::advanceWheelTo(Tick pos)
 {
-    const Tick old = wheelPos_;
+    const Tick changed = wheelPos_ ^ pos;
     wheelPos_ = pos;
-    if ((old ^ pos) < kWheelBuckets)
+    if (changed < kWheelBuckets)
         return; // only digit 0 moved: level-0 buckets stay valid
     // Every level whose digit changed must cascade the bucket the new
     // position landed in: its members are no longer "strictly ahead"
     // at that level and re-place into lower levels (or the due-now
     // bucket). Buckets passed over entirely are provably empty — the
     // position only ever advances to the earliest live event time.
-    for (unsigned l = kWheelLevels - 1; l >= 1; --l) {
-        if (digitOf(old, l) == digitOf(pos, l))
+    // Levels above the highest changed digit keep their buckets.
+    const unsigned top =
+        (static_cast<unsigned>(std::bit_width(changed)) - 1) /
+        kWheelLevelShift;
+    for (unsigned l = top; l >= 1; --l) {
+        if (!digitOf(changed, l))
             continue;
         const unsigned b = static_cast<unsigned>(digitOf(pos, l));
         if (!(occ_[l] >> b & 1))
@@ -228,26 +209,6 @@ EventQueue::advanceWheelTo(Tick pos)
             placeSlot(n); // re-links, landing strictly below level l
             n = nx;
         }
-    }
-}
-
-void
-EventQueue::drainOverflow()
-{
-    while (!heap_.empty() && blockOf(heap_.front().when) <= blockOf(wheelPos_)) {
-        const HeapItem it = popTop(heap_);
-        Slot &s = slotAt(it.idx);
-        if (s.cancelled) {
-            releaseSlot(it.idx);
-            continue;
-        }
-#ifndef NDEBUG
-        odbsim_assert(s.when >= wheelPos_,
-                      "live overflow event behind the wheel position");
-#endif
-        if (s.when < wheelPos_)
-            s.when = wheelPos_; // unreachable by invariant; stay safe
-        placeSlot(it.idx);
     }
 }
 
@@ -269,7 +230,6 @@ EventQueue::refillDue(Tick limit)
     dueCursor_ = 0;
 
     for (;;) {
-        drainOverflow();
         // Level 0 first: the lowest occupied bucket at or after the
         // position's own digit is the earliest event in the wheel
         // (lower levels are provably earlier than higher ones).
@@ -303,23 +263,18 @@ EventQueue::refillDue(Tick limit)
         unsigned l = 1;
         while (l < kWheelLevels && !occ_[l])
             ++l;
-        if (l == kWheelLevels) {
-            // Wheel empty: jump straight to the overflow minimum (no
-            // bucket is occupied, so the jump cascades nothing).
-            while (!heap_.empty() && slotAt(heap_.front().idx).cancelled)
-                releaseSlot(popTop(heap_).idx);
-            if (heap_.empty() || heap_.front().when > limit)
-                return false;
-            advanceWheelTo(heap_.front().when);
-            continue;
-        }
+        if (l == kWheelLevels)
+            return false; // no level occupied: nothing is pending
         // Advance to the start of the lowest occupied bucket of the
         // lowest occupied level — never past the earliest live event,
-        // and never past the caller's limit — and cascade it down.
+        // and never past the caller's limit — and cascade it down. The
+        // start keeps the position's digits above level l; the top
+        // level has none (shifting a Tick by 64 or more is undefined).
         const unsigned b = static_cast<unsigned>(std::countr_zero(occ_[l]));
         const unsigned shift = kWheelLevelShift * l;
-        const Tick above = (wheelPos_ >> (shift + kWheelLevelShift))
-                           << (shift + kWheelLevelShift);
+        const unsigned upper = shift + kWheelLevelShift;
+        const Tick above =
+            l + 1 < kWheelLevels ? wheelPos_ >> upper << upper : 0;
         const Tick start = above | (Tick{b} << shift);
         if (start > limit)
             return false;
@@ -330,8 +285,6 @@ EventQueue::refillDue(Tick limit)
 bool
 EventQueue::step()
 {
-    if (kind_ == EventQueueKind::heap)
-        return stepHeap();
     if (!refillDue(maxTick))
         return false;
     fireSlot(due_[dueCursor_++]);
@@ -341,46 +294,8 @@ EventQueue::step()
 Tick
 EventQueue::run(Tick limit)
 {
-    if (kind_ == EventQueueKind::heap)
-        return runHeap(limit);
     while (refillDue(limit))
         fireSlot(due_[dueCursor_++]);
-    curTick_ = std::max(curTick_, limit);
-    return curTick_;
-}
-
-bool
-EventQueue::stepHeap()
-{
-    while (!heap_.empty()) {
-        const HeapItem top = popTop(heap_);
-        Slot &s = slotAt(top.idx);
-        if (s.cancelled) {
-            // live_ was already decremented when the event was
-            // cancelled; just reclaim the slot.
-            releaseSlot(top.idx);
-            continue;
-        }
-        fireSlot(top.idx);
-        return true;
-    }
-    return false;
-}
-
-Tick
-EventQueue::runHeap(Tick limit)
-{
-    while (!heap_.empty()) {
-        // Drop dead entries so the top reflects the next live event.
-        while (!heap_.empty() && slotAt(heap_.front().idx).cancelled) {
-            releaseSlot(popTop(heap_).idx);
-        }
-        if (heap_.empty())
-            break;
-        if (heap_.front().when > limit)
-            break;
-        stepHeap();
-    }
     curTick_ = std::max(curTick_, limit);
     return curTick_;
 }

@@ -8,30 +8,20 @@
  *
  * The queue is built for the hot path: callbacks live in a chunked
  * slab of reusable slots (addressed by index + generation, so handles
- * stay O(1) and safe across slot reuse), and callback captures up to
- * EventQueue::smallCallbackBytes are stored inline. Slot addresses are
- * stable — chunks are never reallocated — so a callback is constructed
- * directly in its slot at schedule() time and invoked in place when it
- * fires: scheduling performs no heap allocation and no type-erased
- * moves once the slab is warm.
+ * stay O(1) and safe across slot reuse), each in a fixed inline buffer
+ * of EventQueue::smallCallbackBytes — a larger capture is a compile
+ * error. Slot addresses are stable — chunks are never reallocated — so
+ * a callback is constructed directly in its slot at schedule() time
+ * and invoked in place when it fires: scheduling performs no heap
+ * allocation and no type-erased moves once the slab is warm.
  *
- * Two orderings are available over that storage, selected at
- * construction:
- *
- *  - EventQueueKind::wheel (the default): a hierarchical timer wheel —
- *    kWheelLevels levels of kWheelBuckets buckets, one occupancy
- *    bitmask per level — giving O(1) amortized schedule and fire at
- *    high event density. Level-0 buckets are single-tick cohorts, so
- *    the same-tick FIFO contract is restored by one seq sort per
- *    cohort at fire time. Events beyond the wheel horizon (or in a
- *    different 2^48-tick block than the wheel position) wait in a
- *    heap-ordered overflow and are cascaded into the wheel when the
- *    position reaches their block.
- *
- *  - EventQueueKind::heap: the previous global binary heap of 24-byte
- *    POD entries with lazy cancel reclamation. Kept as the differential
- *    oracle for the wheel (both fire in identical (when, seq) order,
- *    so whole runs are bit-identical across kinds).
+ * Events are ordered by a hierarchical timer wheel: kWheelLevels
+ * levels of kWheelBuckets buckets, one occupancy bitmask per level,
+ * giving O(1) amortized schedule and fire at high event density. The
+ * levels together span all 64 bits of a Tick, so every event has a
+ * bucket however far ahead it is scheduled. Level-0 buckets are
+ * single-tick cohorts, so the same-tick FIFO contract is restored by
+ * one seq sort per cohort at fire time.
  */
 
 #ifndef ODBSIM_SIM_EVENT_QUEUE_HH
@@ -50,17 +40,10 @@ namespace odbsim
 
 class EventQueue;
 
-/** Ordering structure used by an EventQueue (see file comment). */
-enum class EventQueueKind : std::uint8_t
-{
-    wheel, ///< hierarchical timer wheel + far-future overflow heap
-    heap,  ///< single binary heap (the pre-wheel implementation)
-};
-
 /**
  * Handle to a scheduled event; allows cancellation without searching
- * the queue (wheel entries are unlinked in O(1); heap/overflow entries
- * are marked dead and skipped on pop).
+ * the queue (a bucket entry is unlinked in O(1); an entry already
+ * collected for firing is marked dead and skipped).
  *
  * Handles are cheap value types: copies refer to the same event, so
  * pending()/cancel() agree across copies. A handle must not be used
@@ -94,15 +77,13 @@ class EventHandle
 class EventQueue
 {
   public:
-    /** Captures up to this size are stored inline (no allocation). */
+    /** Largest callback capture, in bytes; a larger one does not
+     *  compile. */
     static constexpr std::size_t smallCallbackBytes = 112;
 
     using Callback = SmallFunction<void(), smallCallbackBytes>;
 
-    explicit EventQueue(EventQueueKind kind = EventQueueKind::wheel);
-
-    /** Which ordering structure this queue was built with. */
-    EventQueueKind kind() const { return kind_; }
+    EventQueue();
 
     /** Current simulated time. */
     Tick curTick() const { return curTick_; }
@@ -166,16 +147,10 @@ class EventQueue
     static constexpr unsigned kWheelLevelShift = 6;
     /** Buckets per level. */
     static constexpr unsigned kWheelBuckets = 1u << kWheelLevelShift;
-    /** Number of wheel levels. */
-    static constexpr unsigned kWheelLevels = 8;
-    /**
-     * Ticks addressable by the wheel from the current position. Events
-     * in a different 2^48-tick block than the wheel position wait in
-     * the overflow heap (~281 simulated seconds per block at 1 tick =
-     * 1 ps).
-     */
-    static constexpr Tick kWheelHorizon =
-        Tick{1} << (kWheelLevelShift * kWheelLevels);
+    /** Number of wheel levels: enough digits for every bit of a Tick
+     *  (the top level uses only the 4 bits left over). */
+    static constexpr unsigned kWheelLevels =
+        (64 + kWheelLevelShift - 1) / kWheelLevelShift;
     /** @} */
 
   private:
@@ -187,22 +162,21 @@ class EventQueue
     static constexpr std::uint32_t chunkShift = 9;
     static constexpr std::uint32_t chunkSlots = 1u << chunkShift;
 
-    /** Where a live slot currently lives (wheel kind only). */
+    /** Where a live slot currently lives. */
     enum class Where : std::uint8_t
     {
-        none,     ///< free, or owned by the heap kind (always lazy)
-        bucket,   ///< linked into a wheel bucket
-        overflow, ///< parked in the overflow heap
-        due,      ///< collected into the current firing cohort
+        none,   ///< free
+        bucket, ///< linked into a wheel bucket
+        due,    ///< collected into the current firing cohort
     };
 
     /**
      * One slab entry. The generation counter is bumped when the event
      * fires or a cancelled entry is reclaimed, which invalidates every
      * outstanding handle to the old occupant before the slot is
-     * reused. The wheel kind additionally records the ordering key
-     * (when, seq), the doubly-linked bucket neighbours, and the
-     * level/bucket coordinates needed for O(1) unlink on cancel.
+     * reused. The slot also records the ordering key (when, seq), the
+     * doubly-linked bucket neighbours, and the level/bucket
+     * coordinates needed for O(1) unlink on cancel.
      */
     struct Slot
     {
@@ -216,27 +190,6 @@ class EventQueue
         bool cancelled = false;
         std::uint8_t level = 0;
         std::uint8_t bucket = 0;
-    };
-
-    /** Heap entry: ordering key plus the slab index — POD, 24 bytes.
-     *  Used by the heap kind's single heap and the wheel's overflow. */
-    struct HeapItem
-    {
-        Tick when;
-        std::uint64_t seq;
-        std::uint32_t idx;
-    };
-
-    /** Max-heap comparator under which the earliest event is on top. */
-    struct Later
-    {
-        bool
-        operator()(const HeapItem &a, const HeapItem &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.seq > b.seq;
-        }
     };
 
     Slot &
@@ -258,7 +211,6 @@ class EventQueue
     void cancelSlot(std::uint32_t idx, std::uint32_t gen);
     std::uint32_t acquireSlot();
     void releaseSlot(std::uint32_t idx);
-    HeapItem popTop(std::vector<HeapItem> &heap);
 
     /** Fire the slot at @p idx (generation bump, callback, release). */
     void fireSlot(std::uint32_t idx);
@@ -269,23 +221,15 @@ class EventQueue
     {
         return (pos >> (kWheelLevelShift * level)) & (kWheelBuckets - 1);
     }
-    static Tick
-    blockOf(Tick pos)
-    {
-        return pos >> (kWheelLevelShift * kWheelLevels);
-    }
 
     void linkIntoBucket(std::uint32_t idx, unsigned level, unsigned bucket);
     void unlinkFromBucket(std::uint32_t idx);
-    /** Place a claimed slot (when/seq already set) into the wheel or
-     *  the overflow heap, relative to the current wheel position. */
+    /** Link a claimed slot (when/seq already set) into its bucket,
+     *  relative to the current wheel position. */
     void placeSlot(std::uint32_t idx);
     /** Advance wheelPos_ to @p pos, cascading every bucket whose
      *  level digit changed down to its new level. */
     void advanceWheelTo(Tick pos);
-    /** Move overflow entries belonging to wheelPos_'s block into the
-     *  wheel, reclaiming cancelled ones. */
-    void drainOverflow();
     /**
      * Refill the due cohort with the earliest pending events without
      * advancing the wheel position past @p limit.
@@ -295,19 +239,13 @@ class EventQueue
     bool refillDue(Tick limit);
     /** @} */
 
-    bool stepHeap();
-    Tick runHeap(Tick limit);
-
     std::vector<std::unique_ptr<Slot[]>> chunks_;
     std::uint32_t slotCount_ = 0;
-    std::vector<HeapItem> heap_; ///< heap kind: all events; wheel
-                                 ///< kind: far-future overflow
     std::uint32_t freeHead_ = noSlot;
     Tick curTick_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t fired_ = 0;
     std::size_t live_ = 0;
-    EventQueueKind kind_ = EventQueueKind::wheel;
 
     /** Wheel position: <= curTick_ between events and <= every live
      *  event's when, so schedule() always inserts at or after it. */

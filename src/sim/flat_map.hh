@@ -17,19 +17,15 @@
  *  - backward-shift deletion — followers of the probe chain are
  *    pulled one hole closer to their ideal slot, so there are no
  *    tombstones and probe chains never rot under churn;
- *  - O(1) clear() via 16-bit generation stamps: a slot is live iff
- *    its stamp equals the map's current generation, and the (rare)
- *    wrap re-zeroes the stamp array so a stale stamp can never be
- *    mistaken for live again;
  *  - zero steady-state heap allocations: growth only happens while
  *    the population reaches a new high-water mark, observable via
  *    allocations() (the perf-test hook the coherence directory
  *    exposed as tableAllocations()).
  *
- * The generation stamps live in a parallel array rather than inside
- * the slot, which keeps a slot at exactly sizeof(Key) + sizeof(Mapped)
- * (the directory's 16-byte packed-slot property) and makes the probe
- * scan read a dense 2-byte-per-entry liveness vector.
+ * Each slot's liveness is a one-byte flag in a parallel array rather
+ * than a field of the slot, which keeps a slot at exactly
+ * sizeof(Key) + sizeof(Mapped) (the directory's 16-byte packed-slot
+ * property) and makes the probe scan read a dense byte vector.
  *
  * Keys must be unsigned integers that fit in 64 bits; values must be
  * trivially copyable (slots are relocated by assignment during
@@ -90,7 +86,7 @@ class FlatMap
     findIndex(Key key) const
     {
         std::size_t i = indexOf(key);
-        while (gens_[i] == gen_) {
+        while (live_[i]) {
             if (slots_[i].key == key)
                 return i;
             i = (i + 1) & mask_;
@@ -141,7 +137,7 @@ class FlatMap
             rehash(slots_.size() * 2);
 
         std::size_t i = indexOf(key);
-        while (gens_[i] == gen_) {
+        while (live_[i]) {
             if (slots_[i].key == key) {
                 inserted = false;
                 return slots_[i].value;
@@ -150,7 +146,7 @@ class FlatMap
         }
         slots_[i].key = key;
         slots_[i].value = Mapped{};
-        gens_[i] = gen_;
+        live_[i] = 1;
         ++size_;
         inserted = true;
         return slots_[i].value;
@@ -167,7 +163,7 @@ class FlatMap
         std::size_t j = i;
         while (true) {
             j = (j + 1) & mask_;
-            if (gens_[j] != gen_)
+            if (!live_[j])
                 break;
             const std::size_t ideal = indexOf(slots_[j].key);
             if (((j - ideal) & mask_) >= ((j - i) & mask_)) {
@@ -175,10 +171,7 @@ class FlatMap
                 i = j;
             }
         }
-        // Mark empty with a stamp that can never equal a future live
-        // generation: gen_ only grows until its wrap re-zeroes the
-        // stamp array.
-        gens_[i] = static_cast<std::uint16_t>(gen_ - 1);
+        live_[i] = 0;
     }
 
     /** Erase @p key if present; @return whether an entry was erased. */
@@ -190,20 +183,6 @@ class FlatMap
             return false;
         eraseAt(i);
         return true;
-    }
-
-    /** Drop all entries (O(1): bumps the generation stamp). */
-    void
-    clear()
-    {
-        size_ = 0;
-        ++gen_;
-        if (gen_ == 0) {
-            // 16-bit generation wrapped: wipe the stamps so a value
-            // from 65535 clears ago cannot resurrect as live.
-            std::fill(gens_.begin(), gens_.end(), std::uint16_t{0});
-            gen_ = 1;
-        }
     }
 
     /**
@@ -254,31 +233,30 @@ class FlatMap
         odbsim_assert(std::has_single_bit(new_capacity),
                       "flat-map capacity must be a power of two");
         std::vector<Slot> old_slots = std::move(slots_);
-        std::vector<std::uint16_t> old_gens = std::move(gens_);
+        std::vector<std::uint8_t> old_live = std::move(live_);
         slots_.assign(new_capacity, Slot{});
-        gens_.assign(new_capacity, std::uint16_t{0});
+        live_.assign(new_capacity, std::uint8_t{0});
         mask_ = new_capacity - 1;
         shift_ =
             64 - static_cast<unsigned>(std::countr_zero(new_capacity));
         ++allocations_;
         for (std::size_t k = 0; k < old_slots.size(); ++k) {
-            if (old_gens[k] != gen_)
+            if (!old_live[k])
                 continue;
             std::size_t i = indexOf(old_slots[k].key);
-            while (gens_[i] == gen_)
+            while (live_[i])
                 i = (i + 1) & mask_;
             slots_[i] = old_slots[k];
-            gens_[i] = gen_;
+            live_[i] = 1;
         }
     }
 
     std::size_t minCapacity_;
     std::vector<Slot> slots_;
-    std::vector<std::uint16_t> gens_;
-    std::size_t mask_ = 0;   ///< capacity - 1
-    unsigned shift_ = 0;     ///< 64 - log2(capacity), for the hash
-    std::size_t size_ = 0;   ///< live slots
-    std::uint16_t gen_ = 1;  ///< current live generation (never 0)
+    std::vector<std::uint8_t> live_; ///< 1 where slots_ holds an entry
+    std::size_t mask_ = 0;           ///< capacity - 1
+    unsigned shift_ = 0;             ///< 64 - log2(capacity), for the hash
+    std::size_t size_ = 0;           ///< live slots
     std::uint64_t allocations_ = 0;
 };
 

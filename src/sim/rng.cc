@@ -66,25 +66,6 @@ Rng::exponential(double mean)
     return -mean * std::log(u);
 }
 
-double
-Rng::normal(double mean, double stddev)
-{
-    if (haveSpareNormal_) {
-        haveSpareNormal_ = false;
-        return mean + stddev * spareNormal_;
-    }
-    double u1;
-    do {
-        u1 = uniform();
-    } while (u1 <= 0.0);
-    const double u2 = uniform();
-    const double mag = std::sqrt(-2.0 * std::log(u1));
-    const double z0 = mag * std::cos(2.0 * M_PI * u2);
-    spareNormal_ = mag * std::sin(2.0 * M_PI * u2);
-    haveSpareNormal_ = true;
-    return mean + stddev * z0;
-}
-
 std::int64_t
 Rng::nurand(std::int64_t a, std::int64_t x, std::int64_t y)
 {
@@ -96,55 +77,6 @@ Rng
 Rng::fork()
 {
     return Rng(next());
-}
-
-ZipfGenerator::ZipfGenerator(std::uint64_t n, double theta)
-    : n_(n), theta_(theta)
-{
-    odbsim_assert(n > 0, "Zipf domain must be positive");
-    odbsim_assert(theta > 0.0 && theta < 1.0,
-                  "Zipf theta must be in (0, 1)");
-    alpha_ = 1.0 / (1.0 - theta);
-    zetan_ = zeta(n, theta);
-    eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n), 1.0 - theta)) /
-           (1.0 - zeta(2, theta) / zetan_);
-}
-
-double
-ZipfGenerator::zeta(std::uint64_t n, double theta)
-{
-    // Direct summation is O(n); acceptable because generators are built
-    // once per table at load time with n bounded by table cardinality.
-    // For very large domains, use the Euler-Maclaurin approximation.
-    if (n > 1000000) {
-        // Approximate tail by integral: sum_{i=1..n} i^-theta
-        //   ~ zeta(1e6) + integral_{1e6}^{n} x^-theta dx.
-        double head = zeta(1000000, theta);
-        double a = 1e6, b = static_cast<double>(n);
-        double tail = (std::pow(b, 1.0 - theta) - std::pow(a, 1.0 - theta)) /
-                      (1.0 - theta);
-        return head + tail;
-    }
-    double sum = 0.0;
-    for (std::uint64_t i = 1; i <= n; ++i)
-        sum += std::pow(1.0 / static_cast<double>(i), theta);
-    return sum;
-}
-
-std::uint64_t
-ZipfGenerator::sample(Rng &rng) const
-{
-    const double u = rng.uniform();
-    const double uz = u * zetan_;
-    if (uz < 1.0)
-        return 0;
-    if (uz < 1.0 + std::pow(0.5, theta_))
-        return 1;
-    const double v =
-        static_cast<double>(n_) *
-        std::pow(eta_ * u - eta_ + 1.0, alpha_);
-    std::uint64_t r = static_cast<std::uint64_t>(v);
-    return r >= n_ ? n_ - 1 : r;
 }
 
 } // namespace odbsim

@@ -51,9 +51,6 @@ class Rng
     /** Exponentially distributed value with the given mean. */
     double exponential(double mean);
 
-    /** Normally distributed value (Box-Muller). */
-    double normal(double mean, double stddev);
-
     /**
      * TPC-C style NURand non-uniform random value over [x, y].
      *
@@ -66,8 +63,6 @@ class Rng
 
   private:
     std::uint64_t s_[4];
-    bool haveSpareNormal_ = false;
-    double spareNormal_ = 0.0;
     std::uint64_t nurandC_;
 };
 
@@ -99,33 +94,6 @@ Rng::chance(double p)
 {
     return uniform() < p;
 }
-
-/**
- * Zipf-distributed integer sampler over [0, n) with exponent theta.
- *
- * Uses the standard rejection-free inverse method of Gray et al. as used
- * in YCSB; construction is O(1) and sampling is O(1).
- */
-class ZipfGenerator
-{
-  public:
-    ZipfGenerator(std::uint64_t n, double theta);
-
-    /** Sample a value in [0, n); rank 0 is the most popular. */
-    std::uint64_t sample(Rng &rng) const;
-
-    std::uint64_t domain() const { return n_; }
-    double theta() const { return theta_; }
-
-  private:
-    static double zeta(std::uint64_t n, double theta);
-
-    std::uint64_t n_;
-    double theta_;
-    double alpha_;
-    double zetan_;
-    double eta_;
-};
 
 } // namespace odbsim
 

@@ -1,102 +1,74 @@
 /**
  * @file
- * SmallFunction: a move-only callable wrapper with inline small-buffer
- * storage.
+ * SmallFunction: a type-erased callable held in a fixed inline buffer.
  *
  * std::function heap-allocates any capture larger than its tiny
  * implementation-defined buffer (two pointers on libstdc++), which made
- * every EventQueue::schedule call allocate. SmallFunction stores
- * callables up to a configurable inline capacity directly in the
- * object, so the simulator's event callbacks — lambdas capturing a
- * this-pointer plus a request struct — never touch the allocator on
- * the hot path. Oversized callables transparently fall back to the
- * heap, so correctness never depends on the capacity.
+ * every EventQueue::schedule call allocate. SmallFunction constructs a
+ * callable directly in its own buffer, invokes it there and destroys it
+ * there: it never allocates and never moves what it holds. A callable
+ * larger than the buffer does not compile, so an oversized capture
+ * cannot put an allocation on the simulator's hot path.
  */
 
 #ifndef ODBSIM_SIM_SMALL_FUNCTION_HH
 #define ODBSIM_SIM_SMALL_FUNCTION_HH
 
 #include <cstddef>
-#include <new>
+#include <memory>
 #include <type_traits>
 #include <utility>
 
 namespace odbsim
 {
 
-template <typename Signature, std::size_t InlineBytes = 112>
+template <typename Signature, std::size_t InlineBytes>
 class SmallFunction;
 
 /**
- * Move-only type-erased callable with @p InlineBytes of in-object
- * storage.
+ * Type-erased callable with @p InlineBytes of in-object storage.
  *
- * Unlike std::function it cannot be copied (event callbacks never
- * need to be) which lets move-only captures (unique_ptr, moved-in
- * request structs) be stored directly.
+ * It can be neither copied nor moved (an event callback is built in
+ * its slab slot and fired there), which also lets move-only captures
+ * (unique_ptr, moved-in request structs) be stored directly.
  */
 template <typename R, typename... Args, std::size_t InlineBytes>
 class SmallFunction<R(Args...), InlineBytes>
 {
   public:
     SmallFunction() = default;
-    SmallFunction(std::nullptr_t) {}
-
-    template <typename F,
-              typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<F>, SmallFunction> &&
-                  !std::is_same_v<std::decay_t<F>, std::nullptr_t> &&
-                  std::is_invocable_r_v<R, std::decay_t<F> &, Args...>>>
-    SmallFunction(F &&f)
-    {
-        construct(std::forward<F>(f));
-    }
-
-    SmallFunction(SmallFunction &&other) noexcept
-    {
-        moveFrom(std::move(other));
-    }
-
-    SmallFunction &
-    operator=(SmallFunction &&other) noexcept
-    {
-        if (this != &other) {
-            reset();
-            moveFrom(std::move(other));
-        }
-        return *this;
-    }
-
-    SmallFunction &
-    operator=(std::nullptr_t)
-    {
-        reset();
-        return *this;
-    }
+    SmallFunction(const SmallFunction &) = delete;
+    SmallFunction &operator=(const SmallFunction &) = delete;
+    ~SmallFunction() { reset(); }
 
     /**
-     * Assign a callable, constructing it directly in the inline
-     * buffer — the one copy/move of the capture this wrapper ever
-     * performs, which is what lets EventQueue build callbacks in
-     * their slab slot with no intermediate type-erased moves.
+     * Replace the held callable with @p f, constructed directly in the
+     * inline buffer: the one copy or move of the capture this wrapper
+     * ever performs.
      */
     template <typename F,
               typename = std::enable_if_t<
                   !std::is_same_v<std::decay_t<F>, SmallFunction> &&
-                  !std::is_same_v<std::decay_t<F>, std::nullptr_t> &&
                   std::is_invocable_r_v<R, std::decay_t<F> &, Args...>>>
     SmallFunction &
     operator=(F &&f)
     {
+        using Fn = std::decay_t<F>;
+        static_assert(sizeof(Fn) <= InlineBytes,
+                      "callable is larger than SmallFunction's InlineBytes "
+                      "limit (EventQueue::smallCallbackBytes for an event "
+                      "callback): capture less, or capture a pointer");
+        static_assert(alignof(Fn) <= alignof(std::max_align_t),
+                      "callable is over-aligned for SmallFunction's "
+                      "inline buffer");
         reset();
-        construct(std::forward<F>(f));
+        std::construct_at(reinterpret_cast<Fn *>(buf_), std::forward<F>(f));
+        invoke_ = [](void *obj, Args &&...args) -> R {
+            return (*static_cast<Fn *>(obj))(std::forward<Args>(args)...);
+        };
+        destroy_ = [](void *obj) { static_cast<Fn *>(obj)->~Fn(); };
         return *this;
     }
-
-    SmallFunction(const SmallFunction &) = delete;
-    SmallFunction &operator=(const SmallFunction &) = delete;
-
-    ~SmallFunction() { reset(); }
 
     /** Destroy the held callable, leaving the wrapper empty. */
     void
@@ -104,9 +76,9 @@ class SmallFunction<R(Args...), InlineBytes>
     {
         if (!invoke_)
             return;
-        manage_(nullptr, inline_ ? static_cast<void *>(buf_) : heap_);
+        destroy_(buf_);
         invoke_ = nullptr;
-        manage_ = nullptr;
+        destroy_ = nullptr;
     }
 
     explicit operator bool() const { return invoke_ != nullptr; }
@@ -114,82 +86,16 @@ class SmallFunction<R(Args...), InlineBytes>
     R
     operator()(Args... args)
     {
-        return invoke_(inline_ ? static_cast<void *>(buf_) : heap_,
-                       std::forward<Args>(args)...);
-    }
-
-    /** True if callables of type @p Fn avoid the heap fallback. */
-    template <typename Fn>
-    static constexpr bool
-    fitsInline()
-    {
-        return sizeof(Fn) <= InlineBytes &&
-               alignof(Fn) <= alignof(std::max_align_t) &&
-               std::is_move_constructible_v<Fn>;
+        return invoke_(buf_, std::forward<Args>(args)...);
     }
 
   private:
     using Invoke = R (*)(void *, Args &&...);
-    using Manage = void (*)(void *dst, void *src);
+    using Destroy = void (*)(void *);
 
-    template <typename F>
-    void
-    construct(F &&f)
-    {
-        using Fn = std::decay_t<F>;
-        if constexpr (fitsInline<Fn>()) {
-            ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(f));
-            invoke_ = [](void *obj, Args &&...args) -> R {
-                return (*static_cast<Fn *>(obj))(
-                    std::forward<Args>(args)...);
-            };
-            // Inline storage: dst != nullptr relocates (move-construct
-            // into dst, destroy src); dst == nullptr just destroys.
-            manage_ = [](void *dst, void *src) {
-                Fn *from = static_cast<Fn *>(src);
-                if (dst)
-                    ::new (dst) Fn(std::move(*from));
-                from->~Fn();
-            };
-            inline_ = true;
-        } else {
-            heap_ = new Fn(std::forward<F>(f));
-            invoke_ = [](void *obj, Args &&...args) -> R {
-                return (*static_cast<Fn *>(obj))(
-                    std::forward<Args>(args)...);
-            };
-            // Heap storage: moves steal the pointer, so manage only
-            // ever deletes.
-            manage_ = [](void *, void *src) {
-                delete static_cast<Fn *>(src);
-            };
-            inline_ = false;
-        }
-    }
-
-    void
-    moveFrom(SmallFunction &&other) noexcept
-    {
-        invoke_ = other.invoke_;
-        manage_ = other.manage_;
-        inline_ = other.inline_;
-        if (!invoke_)
-            return;
-        if (inline_)
-            manage_(buf_, other.buf_);
-        else
-            heap_ = other.heap_;
-        other.invoke_ = nullptr;
-        other.manage_ = nullptr;
-    }
-
-    union {
-        alignas(std::max_align_t) unsigned char buf_[InlineBytes];
-        void *heap_;
-    };
+    alignas(std::max_align_t) unsigned char buf_[InlineBytes];
     Invoke invoke_ = nullptr;
-    Manage manage_ = nullptr;
-    bool inline_ = false;
+    Destroy destroy_ = nullptr;
 };
 
 } // namespace odbsim

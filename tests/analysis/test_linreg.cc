@@ -7,6 +7,7 @@
 
 #include <vector>
 
+#include "../support/normal_noise.hh"
 #include "analysis/linreg.hh"
 #include "sim/rng.hh"
 
@@ -49,10 +50,11 @@ TEST(LinearFit, FlatDataHasZeroSlope)
 TEST(LinearFit, NoisyDataApproximatesTrueLine)
 {
     Rng rng(5);
+    test::NormalNoise normal(rng);
     std::vector<double> xs, ys;
     for (int i = 0; i < 200; ++i) {
         xs.push_back(i);
-        ys.push_back(2.5 * i + 40.0 + rng.normal(0.0, 3.0));
+        ys.push_back(2.5 * i + 40.0 + normal(0.0, 3.0));
     }
     const LinearFit f = fitLine(xs, ys);
     EXPECT_NEAR(f.slope, 2.5, 0.05);
@@ -107,10 +109,11 @@ class LinRegProperty : public ::testing::TestWithParam<int>
 TEST_P(LinRegProperty, PerturbedLinesHaveLargerSse)
 {
     Rng rng(GetParam());
+    test::NormalNoise normal(rng);
     std::vector<double> xs, ys;
     for (int i = 0; i < 50; ++i) {
         xs.push_back(rng.uniform(0, 100));
-        ys.push_back(1.7 * xs.back() - 3.0 + rng.normal(0, 2.0));
+        ys.push_back(1.7 * xs.back() - 3.0 + normal(0, 2.0));
     }
     const LinearFit f = fitLine(xs, ys);
     auto sse_of = [&](double slope, double icept) {

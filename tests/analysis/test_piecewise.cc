@@ -8,6 +8,7 @@
 
 #include <vector>
 
+#include "../support/normal_noise.hh"
 #include "analysis/piecewise.hh"
 #include "sim/rng.hh"
 
@@ -21,7 +22,7 @@ using namespace odbsim::analysis;
 void
 makeCurve(double pivot_x, double steep, double shallow, double y0,
           std::vector<double> &xs, std::vector<double> &ys,
-          Rng *noise = nullptr, double sigma = 0.0)
+          test::NormalNoise *noise = nullptr, double sigma = 0.0)
 {
     for (double x : {10., 25., 50., 75., 100., 150., 200., 300., 400.,
                      600., 800.}) {
@@ -32,7 +33,7 @@ makeCurve(double pivot_x, double steep, double shallow, double y0,
         else
             y = y0 + steep * pivot_x + shallow * (x - pivot_x);
         if (noise)
-            y += noise->normal(0.0, sigma);
+            y += (*noise)(0.0, sigma);
         ys.push_back(y);
     }
 }
@@ -123,8 +124,9 @@ TEST_P(PiecewiseRecoveryProperty, PivotRecoveredUnderNoise)
 {
     const auto [pivot, seed] = GetParam();
     Rng rng(seed);
+    test::NormalNoise noise(rng);
     std::vector<double> xs, ys;
-    makeCurve(pivot, 0.025, 0.0012, 2.0, xs, ys, &rng, 0.03);
+    makeCurve(pivot, 0.025, 0.0012, 2.0, xs, ys, &noise, 0.03);
     const PiecewiseFit f = fitTwoSegment(xs, ys);
     // Recovered within 40% of the true pivot despite the noise.
     EXPECT_NEAR(f.pivotX, pivot, 0.4 * pivot);

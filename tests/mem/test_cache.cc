@@ -104,17 +104,6 @@ TEST(SetAssocCache, InvalidateRemovesLine)
     EXPECT_FALSE(c.access(0x80, false).hit);
 }
 
-TEST(SetAssocCache, FlushDropsEverything)
-{
-    SetAssocCache c("t", tinyGeom());
-    for (std::uint64_t t = 0; t < 4; ++t)
-        c.access(addrFor(t % 2, t), false);
-    EXPECT_GT(c.validLines(), 0u);
-    c.flush();
-    EXPECT_EQ(c.validLines(), 0u);
-    EXPECT_FALSE(c.probe(addrFor(0, 0)));
-}
-
 TEST(SetAssocCache, ResetStatsKeepsContents)
 {
     SetAssocCache c("t", tinyGeom());
@@ -274,14 +263,6 @@ struct ClockLru
         return l->dirty;
     }
 
-    void
-    flush()
-    {
-        for (auto &l : lines)
-            l.valid = false;
-        validLines = 0;
-    }
-
     CacheGeometry g;
     std::uint64_t sets;
     std::vector<Line> lines;
@@ -312,11 +293,7 @@ TEST_P(RecencyListMatchesClockLru, SameResultsOnSeededStreams)
         for (int op = 0; op < 200'000; ++op) {
             const Addr addr = pool[rng.below(pool.size())] + rng.below(64);
             const double pick = rng.uniform();
-            if (pick < 0.45 || pick >= 0.9999) {
-                if (pick >= 0.9999) {
-                    cache.flush();
-                    oracle.flush();
-                }
+            if (pick < 0.45) {
                 const bool write = rng.chance(0.3);
                 const CacheAccessResult got = cache.access(addr, write);
                 const CacheAccessResult want = oracle.access(addr, write);

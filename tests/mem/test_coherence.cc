@@ -173,13 +173,4 @@ TEST(CoherenceDirectory, StatsReset)
     EXPECT_TRUE(dir.snoop(line).tracked);
 }
 
-TEST(CoherenceDirectory, ClearDropsAllState)
-{
-    CoherenceDirectory dir(2);
-    dir.onFill(0, line, false);
-    dir.onFill(0, line + 64, false);
-    dir.clear();
-    EXPECT_EQ(dir.trackedLines(), 0u);
-}
-
 } // namespace

@@ -3,7 +3,7 @@
  * Tests for the flat open-addressing storage behind the coherence
  * directory: differential churn against a node-based reference model
  * (covering the backward-shift deletion path), steady-state allocation
- * behaviour, reserve(), O(1) clear() and its generation-stamp wrap.
+ * behaviour and reserve().
  */
 
 #include <gtest/gtest.h>
@@ -94,7 +94,6 @@ class ReferenceDirectory
     }
 
     void onDmaFill(Addr line) { lines_.erase(line); }
-    void clear() { lines_.clear(); }
 
     std::size_t trackedLines() const { return lines_.size(); }
     std::uint64_t coherenceMisses() const { return coherenceMisses_; }
@@ -287,25 +286,6 @@ TEST(CoherenceFlatTable, GrowthPreservesAllEntries)
         ASSERT_TRUE(s.tracked) << "line " << k * 64;
         ASSERT_EQ(s.sharers, 1u << (k & 3));
     }
-}
-
-TEST(CoherenceFlatTable, ClearSurvivesGenerationWrap)
-{
-    CoherenceDirectory dir(2);
-    // clear() stamps slots dead by bumping a 16-bit generation; drive
-    // it far past 65536 cycles so the wrap path (full re-zero) runs
-    // several times. A stale stamp surviving the wrap would resurrect
-    // line 0 or lose line 1.
-    for (int cycle = 0; cycle < 70'000; ++cycle) {
-        dir.onFill(0, 0, false);
-        dir.clear();
-        ASSERT_EQ(dir.trackedLines(), 0u);
-        ASSERT_FALSE(dir.snoop(0).tracked);
-    }
-    dir.onFill(1, 64, true);
-    EXPECT_EQ(dir.trackedLines(), 1u);
-    EXPECT_FALSE(dir.snoop(0).tracked);
-    EXPECT_EQ(dir.snoop(64).modifiedOwner, 1);
 }
 
 TEST(CoherenceFlatTable, TouchSoloTracksLikeTheGeneralPath)

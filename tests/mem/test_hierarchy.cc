@@ -166,16 +166,6 @@ TEST(MemorySystem, ResetStatsKeepsCacheState)
     EXPECT_FALSE(res.l3Miss()); // Still cached.
 }
 
-TEST(MemorySystem, FlushAllDropsState)
-{
-    MemorySystem ms(1, smallHier(), quietBus(), S);
-    ms.access(0, sline(9), AccessKind::DataRead, ExecMode::User, 0);
-    ms.flushAll();
-    const auto res =
-        ms.access(0, sline(9), AccessKind::DataRead, ExecMode::User, 0);
-    EXPECT_TRUE(res.l3Miss());
-}
-
 TEST(MemorySystem, TotalCountersSumModes)
 {
     MemorySystem ms(1, smallHier(), quietBus(), S);

@@ -151,15 +151,4 @@ TEST(SharedL3, InclusiveEvictionRemovesL2Copies)
               ServicedBy::Memory);
 }
 
-TEST(SharedL3, FlushAndResetCoverSharedCache)
-{
-    MemorySystem ms(2, cmpHier(), quietBus(), S);
-    ms.access(0, sline(3), AccessKind::DataRead, ExecMode::User, 0);
-    ms.flushAll();
-    EXPECT_EQ(ms.access(1, sline(3), AccessKind::DataRead,
-                        ExecMode::User, 0)
-                  .servicedBy,
-              ServicedBy::Memory);
-}
-
 } // namespace

@@ -267,20 +267,28 @@ TEST(ZeroAlloc, FaultFreeRunWithFaultsCompiledInStaysFlat)
 
 /**
  * Steady-state scheduling through the timer wheel is strictly
- * allocation-free: once the slab, the overflow heap and the firing
- * cohort have reached their high-water marks, a schedule-one/fire-one
- * loop at constant population — spanning every wheel level and the
- * far-future overflow — performs zero heap allocations.
+ * allocation-free: once the slab and the firing cohort have reached
+ * their high-water marks, a schedule-one/fire-one loop at constant
+ * population — spanning every wheel level, the top one included —
+ * performs zero heap allocations.
  */
 TEST(ZeroAlloc, WheelSteadyStateSchedulingIsAllocationFree)
 {
     EventQueue eq;
     Rng rng(7);
     std::uint64_t sink = 0;
-    auto delay = [&rng]() -> Tick {
+    // Far-future delays reach anywhere in the Tick range left after a
+    // margin for the short ones. Each far event that fires is the
+    // earliest of about 2,048, so time advances by about 1/2,048 of
+    // what is left and stays far below the margin's edge.
+    constexpr Tick margin = Tick{1} << 32;
+    auto far = [&eq, &rng]() -> Tick {
+        return rng.below(~Tick{0} - margin - eq.curTick()) + 1;
+    };
+    auto delay = [&rng, &far]() -> Tick {
         switch (rng.below(16)) {
-          case 0: // Beyond the wheel horizon: overflow heap.
-            return EventQueue::kWheelHorizon + rng.below(1000);
+          case 0: // Anywhere below the margin: mostly the top levels.
+            return far();
           case 1:
           case 2: // Mid levels.
             return rng.below(3'000'000) + 1;
@@ -289,29 +297,22 @@ TEST(ZeroAlloc, WheelSteadyStateSchedulingIsAllocationFree)
         }
     };
     // Warm-up, sized so every internal buffer's high-water mark covers
-    // the measured loop. The standing population is 2048 and its
-    // composition drifts: short events fire and recycle while
-    // far-future ones accumulate in the overflow until a horizon-block
-    // jump drains them — so in the worst case the whole population sits
-    // in the overflow heap at once. Warm it to the full population
-    // (plus slack for the lazily-reclaimed cancelled entries), not
-    // just to the schedule-mix share.
-    std::vector<EventHandle> far;
-    far.reserve(3000);
-    for (int i = 0; i < 3000; ++i) {
-        far.push_back(
-            eq.scheduleAfter(EventQueue::kWheelHorizon + rng.below(1000),
-                             [&sink] { ++sink; }));
-    }
+    // the measured loop: the slab holds the standing population of
+    // 2048 (plus the one scheduled before each fire), and the firing
+    // cohort grows to 64 same-tick events.
+    std::vector<EventHandle> parked;
+    parked.reserve(3000);
+    for (int i = 0; i < 3000; ++i)
+        parked.push_back(eq.scheduleAfter(far(), [&sink] { ++sink; }));
     for (int i = 0; i < 952; ++i)
-        far[i].cancel(); // 2048 live far-future events remain.
+        parked[i].cancel(); // 2048 live far-future events remain.
     for (int i = 0; i < 1100; ++i) {
         // 64 of these share one tick, warming the firing cohort.
         const Tick d = i < 64 ? 500 : rng.below(1'000) + 1;
         eq.scheduleAfter(d, [&sink] { ++sink; });
     }
     for (int i = 0; i < 1100; ++i)
-        eq.step(); // Fire every short event; the far ones park.
+        eq.step(); // Fire every short event; the far ones stay.
     ASSERT_EQ(eq.size(), 2048u);
 
     const std::uint64_t newBefore =

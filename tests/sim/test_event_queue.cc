@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the discrete-event kernel: ordering, same-tick FIFO,
- * cancellation, run limits.
+ * cancellation, run limits, and the timer wheel's levels over the
+ * whole Tick range.
  */
 
 #include <gtest/gtest.h>
@@ -242,29 +243,12 @@ TEST(EventQueueDeathTest, ScheduleInPastPanicsInDebug)
 }
 #endif
 
-TEST(EventQueue, LargeCaptureFallsBackToHeapAndStillFires)
-{
-    // A capture bigger than the inline callback buffer exercises the
-    // SmallFunction heap path end to end through schedule/fire.
-    struct Big
-    {
-        std::uint64_t payload[40]; // 320 bytes > smallCallbackBytes
-    };
-    static_assert(sizeof(Big) > EventQueue::smallCallbackBytes);
-    EventQueue eq;
-    Big big{};
-    big.payload[0] = 7;
-    big.payload[39] = 11;
-    std::uint64_t sum = 0;
-    eq.schedule(5, [big, &sum] { sum = big.payload[0] + big.payload[39]; });
-    eq.runAll();
-    EXPECT_EQ(sum, 18u);
-}
-
 /**
- * Stress: random schedule/cancel churn checked against a naive
- * reference model. Catches slot-recycling and lazy-reclamation bugs
- * the targeted tests above can miss.
+ * Stress: random schedule/cancel/step churn checked against a naive
+ * reference model. Deltas mix a few ticks, up to 3M ticks and anywhere
+ * up to the last Tick, so events land on every wheel level, the top
+ * level included, and cascade from each. Catches slot-recycling,
+ * lazy-reclamation and cascade bugs the targeted tests can miss.
  */
 TEST(EventQueue, ChurnMatchesNaiveReferenceModel)
 {
@@ -283,10 +267,25 @@ TEST(EventQueue, ChurnMatchesNaiveReferenceModel)
     };
 
     int id = 0;
-    for (int round = 0; round < 2000; ++round) {
+    for (int round = 0; round < 3000; ++round) {
         const std::uint64_t r = next();
         if (r % 4 != 0 || handles.empty()) {
-            const Tick when = eq.curTick() + (next() % 50);
+            // The largest delta that still lands on a Tick.
+            const Tick room = ~Tick{0} - eq.curTick();
+            Tick delta;
+            switch (next() % 16) {
+              case 0: // anywhere in the remaining range
+                delta = room == ~Tick{0} ? next() : next() % (room + 1);
+                break;
+              case 1:
+              case 2:
+                delta = std::min<Tick>(next() % 3'000'000, room);
+                break;
+              default:
+                delta = std::min<Tick>(next() % 50, room);
+                break;
+            }
+            const Tick when = eq.curTick() + delta;
             const int my_id = id++;
             handles.push_back(eq.schedule(
                 when, [&fired, &eq, my_id] {
@@ -338,27 +337,28 @@ TEST(EventQueueWheel, ScheduleAtNowFiresImmediately)
     EXPECT_EQ(eq.curTick(), 100u);
 }
 
-TEST(EventQueueWheel, FarFutureEventsSpillToOverflowAndRefill)
+/** 2^48 ticks: events this far ahead start on wheel level 8 or above. */
+constexpr Tick kFar = Tick{1} << 48;
+
+TEST(EventQueueWheel, FarFutureEventsCascadeInTimeOrder)
 {
-    // Deltas beyond kWheelHorizon cannot be indexed by the wheel; they
-    // park in the overflow heap and must drain back in time order as
-    // the wheel position crosses into their block.
+    // Far-future events sit on the high levels and must cascade down
+    // in time order as the wheel position reaches their buckets.
     EventQueue eq;
     std::vector<int> order;
-    const Tick horizon = EventQueue::kWheelHorizon;
-    eq.schedule(3 * horizon + 17, [&] { order.push_back(3); });
-    eq.schedule(horizon + 5, [&] { order.push_back(2); });
+    eq.schedule(3 * kFar + 17, [&] { order.push_back(3); });
+    eq.schedule(kFar + 5, [&] { order.push_back(2); });
     eq.schedule(42, [&] { order.push_back(1); });
     eq.runAll();
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-    EXPECT_EQ(eq.curTick(), 3 * horizon + 17);
+    EXPECT_EQ(eq.curTick(), 3 * kFar + 17);
 }
 
-TEST(EventQueueWheel, OverflowRefillPreservesSameTickFifo)
+TEST(EventQueueWheel, FarFutureCascadePreservesSameTickFifo)
 {
     EventQueue eq;
     std::vector<int> order;
-    const Tick when = EventQueue::kWheelHorizon * 2 + 9;
+    const Tick when = kFar * 2 + 9;
     for (int i = 0; i < 8; ++i)
         eq.schedule(when, [&order, i] { order.push_back(i); });
     eq.runAll();
@@ -367,22 +367,21 @@ TEST(EventQueueWheel, OverflowRefillPreservesSameTickFifo)
         EXPECT_EQ(order[i], i);
 }
 
-TEST(EventQueueWheel, CancelWorksInWheelAndInOverflow)
+TEST(EventQueueWheel, CancelWorksOnLowAndHighLevels)
 {
     EventQueue eq;
     int fired = 0;
-    // One event in a wheel bucket (eagerly unlinked on cancel), one in
-    // the overflow heap (lazily reclaimed when it surfaces).
-    EventHandle in_wheel = eq.schedule(10, [&] { ++fired; });
-    EventHandle in_overflow =
-        eq.schedule(EventQueue::kWheelHorizon + 1, [&] { ++fired; });
-    eq.schedule(EventQueue::kWheelHorizon + 2, [&] { fired += 10; });
+    // Cancelled events on level 0 and on level 8 are unlinked from
+    // their buckets at once; the far survivor still cascades and fires.
+    EventHandle low = eq.schedule(10, [&] { ++fired; });
+    EventHandle high = eq.schedule(kFar + 1, [&] { ++fired; });
+    eq.schedule(kFar + 2, [&] { fired += 10; });
     EXPECT_EQ(eq.size(), 3u);
-    in_wheel.cancel();
-    in_overflow.cancel();
+    low.cancel();
+    high.cancel();
     EXPECT_EQ(eq.size(), 1u);
     eq.runAll();
-    EXPECT_EQ(fired, 10); // only the surviving overflow event fired
+    EXPECT_EQ(fired, 10); // only the surviving far event fired
     EXPECT_TRUE(eq.empty());
 }
 
@@ -417,91 +416,35 @@ TEST(EventQueueWheel, ScheduleAfterIdleAdvanceLandsCorrectly)
     EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
-TEST(EventQueueHeap, HeapKindMatchesWheelSemantics)
+TEST(EventQueueWheel, TopOfTheTickRangeFiresInOrder)
 {
-    // The heap kind is the differential oracle: same API, same firing
-    // order, including cancel and same-tick FIFO.
-    EventQueue eq(EventQueueKind::heap);
-    std::vector<int> order;
-    EventHandle doomed = eq.schedule(15, [&] { order.push_back(99); });
-    eq.schedule(20, [&] { order.push_back(2); });
-    eq.schedule(10, [&] { order.push_back(0); });
-    eq.schedule(20, [&] { order.push_back(3); });
-    eq.schedule(10, [&] { order.push_back(1); });
-    doomed.cancel();
-    eq.runAll();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-    EXPECT_EQ(eq.curTick(), 20u);
-    EXPECT_EQ(eq.eventsFired(), 4u);
-}
-
-/**
- * Differential oracle: one deterministic schedule/cancel/step stream
- * driven through the wheel and the heap kinds must produce identical
- * firing sequences — the wheel's bucket-and-cascade machinery may
- * never reorder anything relative to the plain (when, seq) heap.
- */
-TEST(EventQueue, WheelMatchesHeapUnderChurn)
-{
-    EventQueue wheel(EventQueueKind::wheel);
-    EventQueue heap(EventQueueKind::heap);
-    std::vector<std::pair<Tick, int>> fired_wheel, fired_heap;
-    std::vector<EventHandle> handles_wheel, handles_heap;
-
-    std::uint64_t x = 0x2545f4914f6cdd1dULL;
-    auto next = [&x] {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        return x;
+    // run() leaves the position with a nonzero top digit and large low
+    // digits. The events then start on the top level, whose buckets
+    // are the last 4 bits of a Tick, and must cascade down through
+    // every level, each firing at its own tick, up to and including
+    // the last Tick.
+    EventQueue eq;
+    const Tick from = (Tick{1} << 61) + (Tick{1} << 40) + 12'345;
+    EXPECT_EQ(eq.run(from), from);
+    const Tick last = ~Tick{0};
+    std::vector<std::pair<Tick, int>> fired;
+    auto record = [&fired, &eq](int id) {
+        return [&fired, &eq, id] { fired.emplace_back(eq.curTick(), id); };
     };
-
-    int id = 0;
-    for (int round = 0; round < 3000; ++round) {
-        const std::uint64_t r = next();
-        if (r % 5 != 0 || handles_wheel.empty()) {
-            // Mixed horizons: mostly short, some mid, a few beyond the
-            // wheel horizon (overflow), to hit every placement path.
-            Tick delta;
-            const std::uint64_t d = next();
-            switch (d % 16) {
-              case 0:
-                delta = EventQueue::kWheelHorizon + d % 1000;
-                break;
-              case 1:
-              case 2:
-                delta = d % 3'000'000;
-                break;
-              default:
-                delta = d % 200;
-                break;
-            }
-            const int my_id = id++;
-            const Tick when_wheel = wheel.curTick() + delta;
-            handles_wheel.push_back(wheel.schedule(
-                when_wheel, [&fired_wheel, &wheel, my_id] {
-                    fired_wheel.emplace_back(wheel.curTick(), my_id);
-                }));
-            handles_heap.push_back(heap.schedule(
-                heap.curTick() + delta, [&fired_heap, &heap, my_id] {
-                    fired_heap.emplace_back(heap.curTick(), my_id);
-                }));
-        } else {
-            const std::size_t pick = next() % handles_wheel.size();
-            handles_wheel[pick].cancel();
-            handles_heap[pick].cancel();
-        }
-        if (r % 3 == 0) {
-            wheel.step();
-            heap.step();
-        }
-    }
-    wheel.runAll();
-    heap.runAll();
-    EXPECT_EQ(fired_wheel, fired_heap);
-    EXPECT_EQ(wheel.eventsFired(), heap.eventsFired());
-    EXPECT_TRUE(wheel.empty());
-    EXPECT_TRUE(heap.empty());
+    eq.schedule((Tick{1} << 62) + 5, record(1));
+    eq.schedule((Tick{1} << 62) + 3, record(0));
+    eq.schedule(last, record(2));
+    EXPECT_EQ(eq.run(last), last);
+    EXPECT_EQ(fired, (std::vector<std::pair<Tick, int>>{
+                         {(Tick{1} << 62) + 3, 0},
+                         {(Tick{1} << 62) + 5, 1},
+                         {last, 2}}));
+    // Time stands at the last Tick, and an event there still fires.
+    eq.schedule(last, record(3));
+    EXPECT_TRUE(eq.step());
+    EXPECT_EQ(fired.back(), (std::pair<Tick, int>{last, 3}));
+    EXPECT_EQ(eq.curTick(), last);
+    EXPECT_TRUE(eq.empty());
 }
 
 /** Property: N randomly-ordered events fire in nondecreasing time. */

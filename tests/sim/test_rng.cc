@@ -1,11 +1,11 @@
 /**
  * @file
- * Tests for the deterministic RNG and the Zipf generator.
+ * Tests for the deterministic RNG.
  */
 
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <algorithm>
 #include <map>
 
 #include "sim/rng.hh"
@@ -108,22 +108,6 @@ TEST(Rng, ExponentialHasRequestedMean)
     EXPECT_NEAR(sum / 20000.0, 4.0, 0.15);
 }
 
-TEST(Rng, NormalHasRequestedMoments)
-{
-    Rng r(23);
-    double sum = 0.0, sq = 0.0;
-    const int n = 20000;
-    for (int i = 0; i < n; ++i) {
-        const double v = r.normal(10.0, 2.0);
-        sum += v;
-        sq += v * v;
-    }
-    const double mean = sum / n;
-    const double var = sq / n - mean * mean;
-    EXPECT_NEAR(mean, 10.0, 0.1);
-    EXPECT_NEAR(std::sqrt(var), 2.0, 0.1);
-}
-
 TEST(Rng, NurandStaysInRange)
 {
     Rng r(29);
@@ -159,48 +143,5 @@ TEST(Rng, ForkProducesIndependentStream)
         same += a.next() == b.next();
     EXPECT_LT(same, 2);
 }
-
-TEST(Zipf, RankZeroMostPopular)
-{
-    Rng r(37);
-    ZipfGenerator z(1000, 0.8);
-    std::uint64_t zero = 0, mid = 0;
-    for (int i = 0; i < 50000; ++i) {
-        const auto v = z.sample(r);
-        ASSERT_LT(v, 1000u);
-        zero += v == 0;
-        mid += v == 500;
-    }
-    EXPECT_GT(zero, 20 * std::max<std::uint64_t>(mid, 1));
-}
-
-/** Property: Zipf samples stay in range for many (n, theta) combos. */
-class ZipfProperty
-    : public ::testing::TestWithParam<std::tuple<std::uint64_t, double>>
-{
-};
-
-TEST_P(ZipfProperty, SamplesInDomainAndSkewed)
-{
-    const auto [n, theta] = GetParam();
-    Rng r(41);
-    ZipfGenerator z(n, theta);
-    EXPECT_EQ(z.domain(), n);
-    std::uint64_t first_decile = 0;
-    const int samples = 20000;
-    for (int i = 0; i < samples; ++i) {
-        const auto v = z.sample(r);
-        ASSERT_LT(v, n);
-        first_decile += v < (n + 9) / 10;
-    }
-    // Zipf concentrates well above the uniform 10% in the top decile.
-    EXPECT_GT(first_decile, samples / 7);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, ZipfProperty,
-    ::testing::Combine(::testing::Values<std::uint64_t>(10, 100, 10000,
-                                                        2000000),
-                       ::testing::Values(0.5, 0.8, 0.99)));
 
 } // namespace

@@ -1,12 +1,13 @@
 /**
  * @file
- * Unit tests for SmallFunction: inline vs heap storage, move-only
- * semantics, in-place assignment, and destruction accounting.
+ * Unit tests for SmallFunction: in-place construction, invocation,
+ * move-only captures, replacement and destruction accounting. A
+ * callable larger than the buffer must not compile; the
+ * `small_function_rejects_oversized_callback` ctest checks that.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
 #include <memory>
 #include <utility>
 
@@ -23,14 +24,13 @@ TEST(SmallFunction, DefaultConstructedIsEmpty)
 {
     Fn f;
     EXPECT_FALSE(f);
-    Fn g(nullptr);
-    EXPECT_FALSE(g);
 }
 
 TEST(SmallFunction, InvokesInlineCallable)
 {
     int x = 41;
-    Fn f = [&x] { return ++x; };
+    Fn f;
+    f = [&x] { return ++x; };
     ASSERT_TRUE(f);
     EXPECT_EQ(f(), 42);
     EXPECT_EQ(f(), 43);
@@ -38,61 +38,17 @@ TEST(SmallFunction, InvokesInlineCallable)
 
 TEST(SmallFunction, PassesArgumentsAndReturnsResult)
 {
-    SmallFunction<int(int, int), 64> add = [](int a, int b) {
-        return a + b;
-    };
+    SmallFunction<int(int, int), 64> add;
+    add = [](int a, int b) { return a + b; };
     EXPECT_EQ(add(2, 40), 42);
-}
-
-TEST(SmallFunction, SmallCaptureStaysInline)
-{
-    struct Small
-    {
-        std::uint64_t v[4];
-    };
-    static_assert(Fn::fitsInline<Small>());
-    struct Big
-    {
-        std::uint64_t v[16];
-    };
-    static_assert(!Fn::fitsInline<Big>());
-}
-
-TEST(SmallFunction, HeapFallbackInvokes)
-{
-    struct Big
-    {
-        std::uint64_t v[16]; // 128 bytes > 64-byte inline buffer
-    };
-    Big big{};
-    big.v[0] = 40;
-    big.v[15] = 2;
-    Fn f = [big] { return static_cast<int>(big.v[0] + big.v[15]); };
-    EXPECT_EQ(f(), 42);
-}
-
-TEST(SmallFunction, MoveTransfersOwnershipAndEmptiesSource)
-{
-    int calls = 0;
-    Fn a = [&calls] { return ++calls; };
-    Fn b = std::move(a);
-    EXPECT_FALSE(a); // NOLINT(bugprone-use-after-move): tested on purpose
-    ASSERT_TRUE(b);
-    EXPECT_EQ(b(), 1);
-
-    Fn c;
-    c = std::move(b);
-    EXPECT_FALSE(b); // NOLINT(bugprone-use-after-move)
-    EXPECT_EQ(c(), 2);
 }
 
 TEST(SmallFunction, HoldsMoveOnlyCapture)
 {
     auto p = std::make_unique<int>(7);
-    Fn f = [p = std::move(p)] { return *p; };
+    Fn f;
+    f = [p = std::move(p)] { return *p; };
     EXPECT_EQ(f(), 7);
-    Fn g = std::move(f);
-    EXPECT_EQ(g(), 7);
 }
 
 struct DtorCounter
@@ -116,27 +72,9 @@ TEST(SmallFunction, DestroysInlineCallableExactlyOnce)
 {
     int destroyed = 0;
     {
-        Fn f{DtorCounter(&destroyed)};
+        Fn f;
+        f = DtorCounter(&destroyed);
         EXPECT_EQ(f(), 1);
-        Fn g = std::move(f); // relocation must not double-count
-        EXPECT_EQ(g(), 1);
-    }
-    EXPECT_EQ(destroyed, 1);
-}
-
-TEST(SmallFunction, DestroysHeapCallableExactlyOnce)
-{
-    struct BigCounter : DtorCounter
-    {
-        std::uint64_t pad[16] = {};
-        using DtorCounter::DtorCounter;
-    };
-    int destroyed = 0;
-    {
-        Fn f{BigCounter(&destroyed)};
-        EXPECT_EQ(f(), 1);
-        Fn g = std::move(f); // heap move steals the pointer
-        EXPECT_EQ(g(), 1);
     }
     EXPECT_EQ(destroyed, 1);
 }
@@ -144,7 +82,8 @@ TEST(SmallFunction, DestroysHeapCallableExactlyOnce)
 TEST(SmallFunction, ResetDestroysAndEmpties)
 {
     int destroyed = 0;
-    Fn f{DtorCounter(&destroyed)};
+    Fn f;
+    f = DtorCounter(&destroyed);
     f.reset();
     EXPECT_FALSE(f);
     EXPECT_EQ(destroyed, 1);
@@ -152,31 +91,16 @@ TEST(SmallFunction, ResetDestroysAndEmpties)
     EXPECT_EQ(destroyed, 1);
 }
 
-TEST(SmallFunction, NullptrAssignmentClears)
-{
-    Fn f = [] { return 1; };
-    f = nullptr;
-    EXPECT_FALSE(f);
-}
-
 TEST(SmallFunction, CallableAssignmentReplacesInPlace)
 {
     int destroyed = 0;
-    Fn f{DtorCounter(&destroyed)};
+    Fn f;
+    f = DtorCounter(&destroyed);
     // Assigning a new callable constructs it directly in the buffer
     // and must destroy the previous occupant first.
     f = [] { return 99; };
     EXPECT_EQ(destroyed, 1);
     EXPECT_EQ(f(), 99);
-}
-
-TEST(SmallFunction, SelfMoveAssignIsSafe)
-{
-    Fn f = [] { return 5; };
-    Fn &ref = f;
-    f = std::move(ref);
-    ASSERT_TRUE(f);
-    EXPECT_EQ(f(), 5);
 }
 
 } // namespace
