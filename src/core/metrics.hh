@@ -121,14 +121,6 @@ struct RunResult
     double wallSeconds = 0.0;
     /** Simulation-kernel events fired over the whole run. */
     std::uint64_t eventsFired = 0;
-    /** Kernel event throughput on the host (0 if not timed). */
-    double
-    eventsPerSec() const
-    {
-        return wallSeconds > 0.0
-                   ? static_cast<double>(eventsFired) / wallSeconds
-                   : 0.0;
-    }
     /** @} */
 };
 

@@ -90,13 +90,6 @@ class CpuCore
     CpuCounters &counters() { return counters_; }
     const CpuCounters &counters() const { return counters_; }
 
-    /** Memory-side counters live in the hierarchy. */
-    const mem::MemCounters &
-    memCounters(mem::ExecMode m) const
-    {
-        return memsys_.cpu(memId_).counters(m);
-    }
-
     unsigned memCpuId() const { return memId_; }
 
     /**

@@ -71,8 +71,6 @@ class ImplicitBTree
     /** First block of @p level's extent (0 = leaves). */
     BlockId levelBase(unsigned level) const { return levelBase_[level]; }
 
-    std::uint32_t keysPerLeaf() const { return keysPerLeaf_; }
-
   private:
     BlockId base_;
     std::uint64_t capacity_;

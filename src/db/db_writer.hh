@@ -77,8 +77,6 @@ class DbWriter
     void noteDirty(BlockId b, Tick now);
 
     std::size_t urgentDepth() const { return urgent_.size(); }
-    std::size_t checkpointDepth() const { return ckpt_.size(); }
-    unsigned outstanding() const { return outstanding_; }
 
     /** @name Statistics @{ */
     std::uint64_t blocksWritten() const { return written_; }

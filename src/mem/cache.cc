@@ -6,7 +6,7 @@ namespace odbsim::mem
 {
 
 SetAssocCache::SetAssocCache(std::string name, const CacheGeometry &geom)
-    : name_(std::move(name)), geom_(geom)
+    : name_(std::move(name))
 {
     odbsim_assert(geom.sizeBytes > 0 && geom.assoc > 0 &&
                       geom.lineBytes > 0,

@@ -77,8 +77,6 @@ class SetAssocCache
 
     /** Label given at construction. */
     const std::string &name() const { return name_; }
-    /** Shape given at construction. */
-    const CacheGeometry &geometry() const { return geom_; }
 
     /**
      * Access the cache, allocating on miss.
@@ -209,7 +207,6 @@ class SetAssocCache
     }
 
     std::string name_;
-    CacheGeometry geom_;
     /** log2(lineBytes). */
     unsigned lineShift_;
     /** log2(lineBytes * numSets): a tag is the address above it. */

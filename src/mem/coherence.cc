@@ -1,10 +1,11 @@
 #include "mem/coherence.hh"
 
+#include "sim/logging.hh"
+
 namespace odbsim::mem
 {
 
 CoherenceDirectory::CoherenceDirectory(unsigned num_cpus)
-    : numCpus_(num_cpus)
 {
     odbsim_assert(num_cpus >= 1 && num_cpus <= maxCoherentCpus,
                   "unsupported CPU count ", num_cpus);

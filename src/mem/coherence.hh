@@ -21,6 +21,13 @@
  * resident, so the load stays near 1/8: every L3 miss erases one
  * entry and inserts another, and at higher loads those probe-cluster
  * walks and backward shifts cost more than the larger table.
+ *
+ * A one-CPU machine makes the same calls as any other. Every
+ * transition keeps a line's modified owner among its sharers, so a
+ * line no other CPU shares has no remote dirty copy either. onFill
+ * settles that case, which is every fill on one CPU, with one check,
+ * and onWriteHit on one CPU returns an empty mask; both keep the line
+ * tracked, which snoop(), onDmaFill() and trackedLines() read.
  */
 
 #ifndef ODBSIM_MEM_COHERENCE_HH
@@ -31,7 +38,6 @@
 #include <limits>
 
 #include "sim/flat_map.hh"
-#include "sim/logging.hh"
 #include "sim/types.hh"
 
 namespace odbsim::mem
@@ -49,6 +55,18 @@ struct CoherenceOutcome
     unsigned remoteOwner = 0;
     /** Bitmask of CPUs whose copies must be invalidated (writes). */
     std::uint32_t invalidateMask = 0;
+
+    /**
+     * CPUs whose copies the fill leaves stale: the sharers a write
+     * invalidates, plus the remote dirty owner, whose copy moves to
+     * the requester.
+     */
+    std::uint32_t
+    staleCopies() const
+    {
+        return invalidateMask |
+               (static_cast<std::uint32_t>(remoteDirty) << remoteOwner);
+    }
 };
 
 /** Current residency of a line, for snooping. */
@@ -79,21 +97,6 @@ class CoherenceDirectory
      * @return bitmask of CPUs whose copies must be invalidated.
      */
     std::uint32_t onWriteHit(unsigned cpu, Addr line_addr);
-
-    /**
-     * Single-CPU fast path covering onFill and onWriteHit at once.
-     *
-     * With one CPU the sharer mask is only ever bit 0, so
-     * onFill/onWriteHit provably cannot observe a remote copy:
-     * `remote = sharers & ~1` is always 0 (no invalidations, no
-     * counter increments) and `modifiedOwner` is only ever -1 or 0, so
-     * `remoteDirty` is always false. The only work left is keeping the
-     * line *tracked* so snoop(), onDmaFill() and trackedLines() stay
-     * bit-identical to the general path. Callers must only use this
-     * on a directory constructed with num_cpus == 1 (asserted in
-     * debug builds).
-     */
-    void touchSolo(Addr line_addr, bool is_write);
 
     /** Look up the residency of a line without changing state. */
     SnoopState snoop(Addr line_addr) const;
@@ -176,7 +179,6 @@ class CoherenceDirectory
         return (((mask + (mask >> 4)) & 0x0f0f0f0fu) * 0x01010101u) >> 24;
     }
 
-    unsigned numCpus_;
     Table table_;
     std::uint64_t coherenceMisses_ = 0;
     std::uint64_t invalidations_ = 0;
@@ -191,6 +193,15 @@ CoherenceDirectory::onFill(unsigned cpu, Addr line_addr, bool is_write)
     CoherenceOutcome out;
     LineState &e = table_.findOrInsert(line_addr);
     const std::uint32_t self = 1u << cpu;
+    if ((e.sharers & ~self) == 0) {
+        // No other CPU holds the line, which is always so on a one-CPU
+        // machine. An owner is always also a sharer, so no remote dirty
+        // copy exists either: nothing to report or invalidate.
+        e.sharers = self;
+        if (is_write)
+            e.modifiedOwner = static_cast<std::int16_t>(cpu);
+        return out;
+    }
 
     if (e.modifiedOwner >= 0 &&
         static_cast<unsigned>(e.modifiedOwner) != cpu) {
@@ -224,20 +235,6 @@ CoherenceDirectory::onWriteHit(unsigned cpu, Addr line_addr)
     e.sharers = self;
     e.modifiedOwner = static_cast<std::int16_t>(cpu);
     return remote;
-}
-
-inline void
-CoherenceDirectory::touchSolo(Addr line_addr, bool is_write)
-{
-    odbsim_assert(numCpus_ == 1,
-                  "touchSolo is only valid on a single-CPU directory");
-    LineState &e = table_.findOrInsert(line_addr);
-    if (is_write) {
-        e.sharers = 1u;
-        e.modifiedOwner = 0;
-    } else {
-        e.sharers |= 1u;
-    }
 }
 
 inline void

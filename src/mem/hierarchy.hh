@@ -1,8 +1,8 @@
 /**
  * @file
  * Per-CPU cache hierarchy (L2 + L3 tag stores) and the system-wide
- * MemorySystem facade that adds bus, coherence and — on multi-socket
- * topologies — interconnect behaviour.
+ * MemorySystem facade that adds bus, coherence and interconnect
+ * behaviour.
  *
  * The simulated reference stream is *set-sampled*: the CPU model feeds
  * only cache lines whose global line index is a multiple of the
@@ -13,19 +13,19 @@
  * costs in the paper's own methodology and are modeled statistically
  * in the CPU core instead.
  *
- * With TopologyConfig::sockets > 1 the machine becomes a set of
- * hardware islands: each socket owns a front-side bus and a coherence
- * directory for the lines whose *home* is that socket, and misses that
- * leave their socket additionally traverse the bounded-bandwidth
- * interconnect (see docs/TOPOLOGY.md). With the default single socket
- * every topology path is bypassed and behaviour is bit-identical to
- * the legacy single-bus model.
+ * Every machine is a set of TopologyConfig::sockets >= 1 hardware
+ * islands: each socket owns a front-side bus and a coherence directory
+ * for the lines whose *home* is that socket, and every L3 miss
+ * resolves at its line's home. A miss serviced off the requester's
+ * socket also crosses the bounded-bandwidth interconnect (see
+ * docs/TOPOLOGY.md). The single-bus machines of the 2003 study are the
+ * one-socket case of the same code: every line's home is socket 0,
+ * every miss is local and there is no interconnect.
  */
 
 #ifndef ODBSIM_MEM_HIERARCHY_HH
 #define ODBSIM_MEM_HIERARCHY_HH
 
-#include <bit>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -139,9 +139,6 @@ class CpuCacheHierarchy
         return (caddr >> lineShift_) << compressShift_;
     }
 
-    /** This hierarchy's (physical) CPU id. */
-    unsigned cpuId() const { return cpuId_; }
-
     /** Counters for privilege mode @p m. @{ */
     const MemCounters &counters(ExecMode m) const
     {
@@ -180,10 +177,9 @@ class CpuCacheHierarchy
     unsigned cpuId_;
     SetAssocCache l2_;
     SetAssocCache l3_;
-    std::uint32_t sampleFactor_;
     /** log2(lineBytes); constructor-computed for compress(). */
     unsigned lineShift_;
-    /** log2(lineBytes * sampleFactor_). */
+    /** log2(lineBytes * sample factor). */
     unsigned compressShift_;
     MemCounters counters_[2];
 };
@@ -201,12 +197,12 @@ class MemorySystem
      * hot-path entry point the CPU core uses.
      *
      * beginEpoch() performs the per-batch work once (advancing the bus
-     * model to @p now and resolving the per-mode counter block);
+     * models to @p now and resolving the per-mode counter block);
      * access() then runs the pure per-reference path. This is
      * bit-exact versus calling MemorySystem::access per reference:
-     * with a constant `now`, every bus_.maybeUpdate(now) after the
-     * first is a no-op, and the counter block resolved up front is the
-     * same one every per-reference lookup would return.
+     * with a constant `now`, every maybeUpdate(now) after the first is
+     * a no-op, and the counter block resolved up front is the same one
+     * every per-reference lookup would return.
      *
      * An epoch is a thin non-owning view: keep it strictly inside the
      * scope that called beginEpoch() and do not interleave it with
@@ -235,8 +231,7 @@ class MemorySystem
      * @param sample_factor Set-sampling factor S: tag stores are
      *        built at 1/S capacity and callers must feed only lines
      *        whose index is a multiple of S, weighting counters by S.
-     * @param topo Socket topology; the default single socket keeps
-     *        the legacy single-bus model bit-identically.
+     * @param topo Socket topology; the default is one socket.
      */
     MemorySystem(unsigned num_cpus, const HierarchyConfig &hier_cfg,
                  const BusConfig &bus_cfg, std::uint32_t sample_factor,
@@ -255,13 +250,13 @@ class MemorySystem
     /** @} */
 
     /** Socket 0's front-side bus (the only bus when sockets == 1). @{ */
-    FrontSideBus &bus() { return bus_; }
-    const FrontSideBus &bus() const { return bus_; }
+    FrontSideBus &bus() { return buses_[0]; }
+    const FrontSideBus &bus() const { return buses_[0]; }
     /** @} */
 
     /** Socket 0's coherence directory (the only one at S=1). @{ */
-    CoherenceDirectory &directory() { return directory_; }
-    const CoherenceDirectory &directory() const { return directory_; }
+    CoherenceDirectory &directory() { return dirs_[0]; }
+    const CoherenceDirectory &directory() const { return dirs_[0]; }
     /** @} */
 
     /** @name Socket topology @{ */
@@ -269,20 +264,16 @@ class MemorySystem
     const TopologyConfig &topology() const { return topo_; }
     /** Socket count S (>= 1). */
     unsigned numSockets() const { return sockets_; }
-    /** True when the multi-socket model is engaged (S > 1). */
-    bool multiSocket() const { return multiSocket_; }
+    /** True when the machine has more than one socket. */
+    bool multiSocket() const { return sockets_ > 1; }
     /** Socket owning physical CPU @p cpu (always 0 at S=1). */
-    unsigned
-    socketOf(unsigned cpu) const
-    {
-        return multiSocket_ ? cpu / cpusPerSocket_ : 0;
-    }
+    unsigned socketOf(unsigned cpu) const { return cpu / cpusPerSocket_; }
     /** Front-side bus of socket @p s. @{ */
-    FrontSideBus &busAt(unsigned s) { return *buses_[s]; }
-    const FrontSideBus &busAt(unsigned s) const { return *buses_[s]; }
+    FrontSideBus &busAt(unsigned s) { return buses_[s]; }
+    const FrontSideBus &busAt(unsigned s) const { return buses_[s]; }
     /** @} */
     /** Coherence directory of socket @p s. */
-    CoherenceDirectory &directoryAt(unsigned s) { return *dirs_[s]; }
+    CoherenceDirectory &directoryAt(unsigned s) { return dirs_[s]; }
     /** The inter-socket interconnect model (nullptr at S=1). */
     const FrontSideBus *interconnect() const { return link_.get(); }
     /**
@@ -293,7 +284,7 @@ class MemorySystem
     unsigned
     homeSocket(Addr addr) const
     {
-        if (!multiSocket_)
+        if (sockets_ == 1)
             return 0;
         const Addr page = addr >> topo_.pageShift;
         if (const std::uint8_t *h = homePages_.find(page))
@@ -383,34 +374,26 @@ class MemorySystem
     AccessResult accessImpl(CpuCacheHierarchy &h, MemCounters &ctr,
                             Addr addr, AccessKind kind);
 
-    /** The L3-miss tail of accessImpl on a multi-socket topology. */
-    AccessResult missMultiSocket(CpuCacheHierarchy &h, MemCounters &ctr,
-                                 Addr line, bool is_write,
-                                 AccessResult res);
-
     /**
-     * Directory owning @p line: the home socket's on a multi-socket
-     * topology, the single directory otherwise.
+     * Drop @p line from both cache levels of every CPU set in @p cpus.
+     * Out of line: the per-reference path calls it only for a
+     * non-empty mask, which is rare.
      */
-    CoherenceDirectory &
-    dirFor(Addr line)
-    {
-        return multiSocket_ ? *dirs_[homeSocket(line)] : directory_;
-    }
+    void invalidateSharers(std::uint32_t cpus, Addr line);
+
+    /** Directory of @p line's home socket. */
+    CoherenceDirectory &dirFor(Addr line) { return dirs_[homeSocket(line)]; }
 
     /** Advance every bus model (and the interconnect) to @p now. */
     void
     advanceBuses(Tick now)
     {
-        bus_.maybeUpdate(now);
-        if (multiSocket_) {
-            for (auto &b : extraBuses_)
-                b->maybeUpdate(now);
+        for (FrontSideBus &b : buses_)
+            b.maybeUpdate(now);
+        if (link_)
             link_->maybeUpdate(now);
-        }
     }
 
-    HierarchyConfig hierCfg_;
     TopologyConfig topo_;
     std::uint32_t sampleFactor_;
     /** @name Per-access invariants, computed once in the constructor.
@@ -418,23 +401,15 @@ class MemorySystem
     std::uint64_t weight_;   ///< sampleFactor_ widened for counters.
     Addr lineMask_;          ///< ~(l3.lineBytes - 1)
     Addr sampledStride_;     ///< l3.lineBytes * sampleFactor_
-    bool singleCpu_;         ///< P=1: directory fast path applies.
     unsigned sockets_;       ///< Socket count S (>= 1).
     unsigned cpusPerSocket_; ///< ceil(P / S).
-    bool multiSocket_;       ///< S > 1: topology paths engaged.
     /** @} */
     std::vector<std::unique_ptr<CpuCacheHierarchy>> cpus_;
     /** The on-die shared L3 (CMP mode only). */
     std::unique_ptr<SetAssocCache> sharedL3_;
-    FrontSideBus bus_;
-    CoherenceDirectory directory_;
-    /** Buses / directories of sockets 1..S-1 (empty at S=1). @{ */
-    std::vector<std::unique_ptr<FrontSideBus>> extraBuses_;
-    std::vector<std::unique_ptr<CoherenceDirectory>> extraDirs_;
-    /** @} */
-    /** Per-socket views: [0] = bus_/directory_, then the extras. @{ */
-    std::vector<FrontSideBus *> buses_;
-    std::vector<CoherenceDirectory *> dirs_;
+    /** Each socket's front-side bus and directory, by socket. @{ */
+    std::vector<FrontSideBus> buses_;
+    std::vector<CoherenceDirectory> dirs_;
     /** @} */
     /** The inter-socket interconnect (allocated only at S > 1). */
     std::unique_ptr<FrontSideBus> link_;
@@ -465,20 +440,9 @@ MemorySystem::accessImpl(CpuCacheHierarchy &h, MemCounters &ctr,
     // approximation); only L3 victims produce bus writebacks.
     if (h.l2_.access(caddr, is_write).hit) {
         if (is_write) {
-            if (singleCpu_) {
-                // P=1 fast path: onWriteHit's remote mask is provably
-                // empty (sharers can only be bit 0), so only the
-                // directory's tracking state needs to advance.
-                dirFor(line).touchSolo(line, true);
-            } else {
-                std::uint32_t mask = dirFor(line).onWriteHit(cpu_id, line);
-                while (mask) {
-                    const unsigned j =
-                        static_cast<unsigned>(std::countr_zero(mask));
-                    mask &= mask - 1;
-                    cpus_[j]->invalidateLine(line);
-                }
-            }
+            if (const std::uint32_t copies =
+                    dirFor(line).onWriteHit(cpu_id, line))
+                invalidateSharers(copies, line);
         }
         res.servicedBy = ServicedBy::L2;
         return res;
@@ -491,100 +455,73 @@ MemorySystem::accessImpl(CpuCacheHierarchy &h, MemCounters &ctr,
         // Map the victim back to its original (uncompressed) line
         // address for the directory.
         const Addr victim_line = h.decompressLine(l3res.evictedLineAddr);
+        const unsigned vhome = homeSocket(victim_line);
         if (sharedL3_) {
             // Inclusive shared L3: evicting a line removes every
-            // core's L2 copy and its directory state.
-            for (auto &c : cpus_)
-                c->l2_.invalidate(l3res.evictedLineAddr);
-            directory_.onDmaFill(victim_line);
+            // core's copy and its directory state. Only the L2s can
+            // hold one; a CMP core's private L3 is never filled.
+            invalidateSharers(~0u >> (maxCoherentCpus - numCpus()),
+                              victim_line);
+            dirs_[vhome].onDmaFill(victim_line);
         } else {
-            dirFor(victim_line).onEviction(cpu_id, victim_line);
+            dirs_[vhome].onEviction(cpu_id, victim_line);
         }
         if (l3res.evictedDirty) {
-            if (!multiSocket_) {
-                bus_.addLineTransfers(static_cast<double>(weight));
-            } else {
-                // The writeback lands in the victim's home memory and
-                // crosses the interconnect when that home is remote.
-                const unsigned vhome = homeSocket(victim_line);
-                buses_[vhome]->addLineTransfers(
-                    static_cast<double>(weight));
-                if (vhome != socketOf(cpu_id))
-                    link_->addLineTransfers(static_cast<double>(weight));
-            }
+            // The writeback lands in the victim's home memory and
+            // crosses the interconnect when that home is remote.
+            buses_[vhome].addLineTransfers(static_cast<double>(weight));
+            if (vhome != socketOf(cpu_id))
+                link_->addLineTransfers(static_cast<double>(weight));
         }
     }
+
+    // The line's home socket orchestrates the fill: its directory
+    // classifies it, and on a miss its bus carries the line (and any
+    // writeback). A write drops the remote sharers' copies, and a
+    // remote dirty copy leaves its owner.
+    const unsigned home = homeSocket(line);
+    const CoherenceOutcome out = dirs_[home].onFill(cpu_id, line, is_write);
+    if (const std::uint32_t copies = out.staleCopies())
+        invalidateSharers(copies, line);
     if (l3res.hit) {
-        if (singleCpu_) {
-            // P=1: a fill by the only CPU can neither observe a remote
-            // dirty copy nor need invalidations; track the line only.
-            dirFor(line).touchSolo(line, is_write);
-            res.servicedBy = ServicedBy::L3;
-            return res;
-        }
         // In CMP mode an L3 hit may still be a coherence transfer:
         // another core wrote the line and the modified copy is served
-        // on-die (cheap), but it counts as a HITM event. Remote copies
-        // to invalidate live only in L2s (the L3 is shared); in SMP
-        // mode the whole remote stack is invalidated.
-        const CoherenceOutcome hit_out =
-            dirFor(line).onFill(cpu_id, line, is_write);
-        std::uint32_t mask = hit_out.invalidateMask;
-        while (mask) {
-            const unsigned j =
-                static_cast<unsigned>(std::countr_zero(mask));
-            mask &= mask - 1;
-            if (sharedL3_)
-                cpus_[j]->l2_.invalidate(caddr);
-            else
-                cpus_[j]->invalidateLine(line);
-        }
-        if (hit_out.remoteDirty) {
-            if (sharedL3_) {
-                cpus_[hit_out.remoteOwner]->l2_.invalidate(caddr);
-                ctr.coherenceMisses += weight;
-            } else {
-                cpus_[hit_out.remoteOwner]->invalidateLine(line);
-            }
-        }
+        // on-die (cheap), but it counts as a HITM event.
+        if (sharedL3_ && out.remoteDirty)
+            ctr.coherenceMisses += weight;
         res.servicedBy = ServicedBy::L3;
         return res;
     }
     ctr.l3Misses += weight;
 
-    if (multiSocket_)
-        return missMultiSocket(h, ctr, line, is_write, res);
-
-    if (singleCpu_) {
-        // P=1: an L3 miss is always serviced by memory — remoteDirty
-        // is impossible, so no cache-to-cache transfer or extra
-        // writeback can occur.
-        directory_.touchSolo(line, is_write);
-        res.servicedBy = ServicedBy::Memory;
-        res.memStallExtraCycles = bus_.queueWaitCycles();
-        bus_.addLineTransfers(static_cast<double>(weight));
-        return res;
-    }
-
-    const CoherenceOutcome out = directory_.onFill(cpu_id, line, is_write);
-    std::uint32_t mask = out.invalidateMask;
-    while (mask) {
-        const unsigned j = static_cast<unsigned>(std::countr_zero(mask));
-        mask &= mask - 1;
-        cpus_[j]->invalidateLine(line);
-    }
+    // The requester also pays per-hop latency and link queueing to
+    // reach the servicing socket when that socket is not its own. At
+    // S=1 every socket is 0, so the stall is exactly the bus wait.
+    FrontSideBus &hb = buses_[home];
+    double extra = hb.queueWaitCycles();
+    unsigned servicing = home;
     if (out.remoteDirty) {
-        // Cache-to-cache transfer: the dirty copy leaves the remote
-        // cache and its writeback also crosses the bus.
-        cpus_[out.remoteOwner]->invalidateLine(line);
+        // Cache-to-cache transfer from the owner; its writeback also
+        // crosses the home bus.
         ctr.coherenceMisses += weight;
-        bus_.addLineTransfers(static_cast<double>(weight));
+        hb.addLineTransfers(static_cast<double>(weight));
         res.servicedBy = ServicedBy::RemoteCache;
+        servicing = socketOf(out.remoteOwner);
     } else {
         res.servicedBy = ServicedBy::Memory;
     }
-    res.memStallExtraCycles = bus_.queueWaitCycles();
-    bus_.addLineTransfers(static_cast<double>(weight));
+    const unsigned my_socket = socketOf(cpu_id);
+    if (servicing != my_socket) {
+        extra += topo_.hopLatencyCycles *
+                     socketHops(my_socket, servicing, sockets_) +
+                 link_->queueWaitCycles();
+        link_->addLineTransfers(static_cast<double>(weight));
+        remoteMisses_ += weight;
+    } else {
+        localMisses_ += weight;
+    }
+    hb.addLineTransfers(static_cast<double>(weight));
+    res.memStallExtraCycles = extra;
     return res;
 }
 

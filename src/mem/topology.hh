@@ -9,11 +9,11 @@
  * interconnect that adds per-hop latency and has bounded bandwidth
  * (the effect the *OLTP on Hardware Islands* deployments exploit).
  *
- * TopologyConfig describes that machine shape. With the default
- * sockets == 1 the whole subsystem is inert and the memory system is
- * bit-identical to the legacy single-bus model — the contract
- * documented in docs/TOPOLOGY.md that keeps the golden study CSVs
- * byte-stable.
+ * TopologyConfig describes that machine shape. The default
+ * sockets == 1 is the single-bus machine: the memory system runs the
+ * same per-socket code with one socket, every miss is local, and the
+ * other knobs are never read (the contract in docs/TOPOLOGY.md that
+ * keeps the golden study CSVs byte-stable).
  */
 
 #ifndef ODBSIM_MEM_TOPOLOGY_HH
@@ -28,12 +28,11 @@ namespace odbsim::mem
 struct TopologyConfig
 {
     /**
-     * Socket count S. 1 (default) = the legacy single-bus machine;
-     * every knob below is ignored and the model is bit-identical to
-     * the pre-topology code. S > 1 splits the physical CPUs evenly
-     * across sockets (ceil(P/S) per socket, earlier sockets first) and
-     * gives each socket its own front-side bus and coherence
-     * directory.
+     * Socket count S. Each socket has its own front-side bus and
+     * coherence directory, and the physical CPUs split evenly across
+     * sockets (ceil(P/S) per socket, earlier sockets first). 1
+     * (default) = the single-bus machine, where every knob below is
+     * ignored.
      */
     unsigned sockets = 1;
     /**
@@ -57,9 +56,6 @@ struct TopologyConfig
      * recorded): home = (addr >> pageShift) mod sockets.
      */
     unsigned pageShift = 12;
-
-    /** True when the multi-socket model is engaged. */
-    bool multiSocket() const { return sockets > 1; }
 };
 
 /**

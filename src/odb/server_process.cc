@@ -17,7 +17,7 @@ ServerProcess::ServerProcess(db::Database &database, OdbWorkload &workload,
                              TxnPlanner &planner, std::uint32_t home_w,
                              Rng rng)
     : os::Process("server-w" + std::to_string(home_w)), db_(database),
-      workload_(workload), planner_(planner), homeW_(home_w), rng_(rng)
+      workload_(workload), planner_(planner), rng_(rng)
 {
     // A transaction holds a handful of row locks (NewOrder: ~13);
     // pre-sizing keeps steady-state replay off the heap.

@@ -40,9 +40,6 @@ class ServerProcess : public os::Process
 
     os::NextAction next(os::System &sys) override;
 
-    /** The warehouse this server was seeded with. */
-    std::uint32_t homeWarehouse() const { return homeW_; }
-
     /**
      * Mark this server as killed by the instance crash. Consumed at
      * the next dispatch: the in-flight transaction (if any) is rolled
@@ -105,7 +102,6 @@ class ServerProcess : public os::Process
     db::Database &db_;
     OdbWorkload &workload_;
     TxnPlanner &planner_;
-    std::uint32_t homeW_;
     /** Partition draw range (wSpan_ == 0: unpartitioned legacy). @{ */
     std::uint32_t wLo_ = 0;
     std::uint32_t wSpan_ = 0;

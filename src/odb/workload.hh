@@ -63,8 +63,6 @@ class OdbWorkload
     void parkCrashed(ServerProcess *p);
     /** Redo replay finished: record MTTR, revive every server. */
     void recoveryComplete();
-    /** Servers currently parked behind the crash. */
-    std::size_t parkedCount() const { return parked_.size(); }
     /**
      * Commits whose completion fell in [@p a, @p b), from the 10 ms
      * commit timeline kept on crash-enabled runs — how the faults

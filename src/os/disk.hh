@@ -196,11 +196,6 @@ class DiskArray
     /** Sequential read from the redo log (crash recovery). */
     void readLog(std::uint64_t bytes, std::function<void()> on_complete);
 
-    unsigned numDataDisks() const
-    {
-        return static_cast<unsigned>(dataDisks_.size());
-    }
-
     /** @name Aggregate statistics over data + log drives @{ */
     std::uint64_t totalReads() const;
     std::uint64_t totalWrites() const;

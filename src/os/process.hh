@@ -82,9 +82,6 @@ class Process
      */
     void setCpuAffinity(std::uint32_t mask) { cpuAffinity_ = mask; }
 
-    /** Allowed-CPU mask (all ones when unpinned). */
-    std::uint32_t cpuAffinity() const { return cpuAffinity_; }
-
     /** Logical CPU of the most recent dispatch. */
     unsigned lastCpu() const { return lastCpu_; }
 

@@ -50,20 +50,12 @@ class Scheduler
      */
     void wake(Process *p, std::uint64_t kernel_instr);
 
-    /** Number of ready (runnable, not running) processes. */
-    std::size_t readyCount() const { return ready_.size(); }
-
-    /** Process currently on @p cpu (nullptr if idle). */
-    Process *running(unsigned cpu) const { return slots_[cpu].current; }
-
     /** @name Statistics @{ */
     std::uint64_t contextSwitches() const
     {
         return ctxSwitches_.value();
     }
     Tick busyTicks(unsigned cpu) const { return slots_[cpu].busyTicks; }
-    /** Ready-queue pool growth events (zero-allocation gate hook). */
-    std::uint64_t readyAllocations() const { return ready_.allocations(); }
     void resetStats();
     /** @} */
 

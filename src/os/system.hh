@@ -188,7 +188,6 @@ class System
 
     /** @name Measurement-window control @{ */
     void beginMeasurement();
-    Tick measurementStart() const { return windowStart_; }
     Tick measurementWindow() const { return now() - windowStart_; }
     /** Utilization of CPU @p i over the current window. */
     double cpuUtilization(unsigned i) const;

@@ -4,12 +4,14 @@
  * pins only the Xeon Quad MP on one socket; the grid points below take
  * the other paths through the memory model: the Itanium2's 12-way L3,
  * the CMP's shared 16-way L3, SMT siblings sharing one cache
- * hierarchy, and a two-socket Xeon whose misses resolve against
- * per-socket directories and cross the interconnect. Each point's
- * study-CSV row, the events it fired and its remote-miss and link
- * figures must match the text below, recorded from an earlier build
- * of the simulator. A change that means to alter the simulated model
- * re-records it; any other change must leave it as it is.
+ * hierarchy, a two-socket Xeon whose misses resolve against
+ * per-socket directories and cross the interconnect, and the Itanium2
+ * and the CMP on one processor, whose directory sees no second CPU.
+ * Each point's study-CSV row, the events it fired and its remote-miss
+ * and link figures must match the text below, recorded from an
+ * earlier build of the simulator. A change that means to alter the
+ * simulated model re-records it; any other change must leave it as it
+ * is.
  */
 
 #include <gtest/gtest.h>
@@ -109,6 +111,26 @@ TEST(PresetPins, ResultsMatchTheRecordedText)
          ",0.0784626284095,0.5,0.08,0.07,0.160005605265"
          ",0.0536888924277,2.94976917779"
          ",1.64852800717;5603;0.524087849805;0.131209454631"},
+        {"itanium2 P=1", MachineKind::Itanium2Quad, 1, 1,
+         "1,10,8,0.04,27,675,675.269756787,0.995418385025"
+         ",0.0754785316947,0.0362730311593,844214.592593"
+         ",813592.37037,30622.2222222,2.61918854383,2.51263699844"
+         ",5.45012366492,0.00521194497064,0.00488223377309"
+         ",0.0139719400097,5.03703703704,0,5.31756365741"
+         ",0.62962962963,2.11111111111,0.986982248521"
+         ",0.0541813347656,4.19397591753,0.0643238451096"
+         ",98.2745891912,0,0.5,0.08,0.07,0.160001446008"
+         ",0.117354048212,1.56358349119,0.128249558416;3166;0;0"},
+        {"cmp P=1", MachineKind::CmpQuad, 1, 1,
+         "1,10,8,0.04,23,575,575.281834415,1.00052957485"
+         ",0.0709373748179,0.0361551883435,881826.652174"
+         ",849944.043478,31882.6086957,3.1556296783,3.04175273609"
+         ",6.19142356968,0.00699575530299,0.00664596180833"
+         ",0.0163207418519,6.26086956522,0,5.28388247283"
+         ",0.782608695652,2.34782608696,0.987127371274"
+         ",0.0512641072083,2.79544890967,0.104883965191"
+         ",107.740187952,0,0.5,0.08,0.07,0.159999897446"
+         ",0.0910678836465,2.1388835412,0.115678356002;2914;0;0"},
     };
     for (const Pin &pin : pins) {
         SCOPED_TRACE(pin.label);

@@ -288,49 +288,4 @@ TEST(CoherenceFlatTable, GrowthPreservesAllEntries)
     }
 }
 
-TEST(CoherenceFlatTable, TouchSoloTracksLikeTheGeneralPath)
-{
-    // touchSolo must leave the directory in exactly the state the
-    // general-path calls it replaces would: P=1 accesses differ only
-    // in skipped (provably no-op) remote bookkeeping.
-    CoherenceDirectory solo(1);
-    CoherenceDirectory general(1);
-    Rng rng(41);
-    constexpr std::uint64_t footprint = 512;
-    for (int i = 0; i < 20'000; ++i) {
-        const Addr line = rng.below(footprint) * 64;
-        switch (rng.below(4)) {
-          case 0:
-            solo.touchSolo(line, true);
-            general.onFill(0, line, true);
-            break;
-          case 1:
-            solo.touchSolo(line, true);
-            general.onWriteHit(0, line);
-            break;
-          case 2:
-            solo.touchSolo(line, false);
-            general.onFill(0, line, false);
-            break;
-          default:
-            solo.onEviction(0, line);
-            general.onEviction(0, line);
-            break;
-        }
-    }
-    // The general path on one CPU can never record remote activity.
-    EXPECT_EQ(general.coherenceMisses(), 0u);
-    EXPECT_EQ(general.invalidationsSent(), 0u);
-    EXPECT_EQ(solo.coherenceMisses(), 0u);
-    EXPECT_EQ(solo.invalidationsSent(), 0u);
-    ASSERT_EQ(solo.trackedLines(), general.trackedLines());
-    for (std::uint64_t k = 0; k < footprint; ++k) {
-        const SnoopState a = solo.snoop(k * 64);
-        const SnoopState b = general.snoop(k * 64);
-        ASSERT_EQ(a.tracked, b.tracked) << "line " << k * 64;
-        ASSERT_EQ(a.sharers, b.sharers) << "line " << k * 64;
-        ASSERT_EQ(a.modifiedOwner, b.modifiedOwner) << "line " << k * 64;
-    }
-}
-
 } // namespace

@@ -245,11 +245,11 @@ TEST(MemorySystem, EpochAccessesMatchPerCallAccesses)
               epoched.directory().trackedLines());
 }
 
-TEST(MemorySystem, SingleCpuFastPathMatchesIdleSecondCpu)
+TEST(MemorySystem, OneCpuMatchesTwoCpusWithAnIdleSecond)
 {
-    // A 1-CPU system takes the directory fast path; a 2-CPU system
-    // whose second CPU never issues a reference takes the general
-    // path. CPU 0 must observe bit-identical behaviour in both.
+    // One CPU must behave exactly like two CPUs whose second makes no
+    // reference: the same results and counters for CPU 0, and the same
+    // directory state, line by line.
     MemorySystem solo(1, smallHier(), quietBus(), S);
     MemorySystem duo(2, smallHier(), quietBus(), S);
     std::uint64_t x = 424242;
@@ -266,8 +266,6 @@ TEST(MemorySystem, SingleCpuFastPathMatchesIdleSecondCpu)
     }
     expectSameCounters(solo.cpu(0).counters(ExecMode::User),
                        duo.cpu(0).counters(ExecMode::User));
-    // The fast path skips remote bookkeeping but must keep tracking
-    // lines so DMA snoops and trackedLines() stay identical.
     ASSERT_EQ(solo.directory().trackedLines(),
               duo.directory().trackedLines());
     for (std::uint64_t n = 0; n < 256; ++n) {
@@ -282,8 +280,8 @@ TEST(MemorySystem, SingleCpuFastPathMatchesIdleSecondCpu)
 
 TEST(MemorySystem, SingleCpuDmaInvalidationStillWorks)
 {
-    // Lines tracked via the fast path must still be found (and
-    // dropped) by DMA snoops.
+    // Lines a single CPU filled must still be found (and dropped) by
+    // DMA snoops.
     MemorySystem ms(1, smallHier(), quietBus(), S);
     ms.access(0, sline(3), AccessKind::DataWrite, ExecMode::User, 0);
     ASSERT_TRUE(ms.directory().snoop(sline(3)).tracked);

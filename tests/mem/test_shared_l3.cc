@@ -1,12 +1,14 @@
 /**
  * @file
  * Tests for the CMP shared-L3 mode: cross-core hits, on-die coherence
- * transfers, inclusive eviction, capacity sharing.
+ * transfers, inclusive eviction, capacity sharing, and cores' private
+ * L3s staying empty.
  */
 
 #include <gtest/gtest.h>
 
 #include "mem/hierarchy.hh"
+#include "sim/rng.hh"
 
 namespace
 {
@@ -149,6 +151,42 @@ TEST(SharedL3, InclusiveEvictionRemovesL2Copies)
                         ExecMode::User, 0)
                   .servicedBy,
               ServicedBy::Memory);
+}
+
+TEST(SharedL3, PrivateL3sStayEmpty)
+{
+    // A CMP core looks lines up in the shared L3, so its private L3 is
+    // never filled. The memory system relies on that when it drops a
+    // line from both private levels of a core: only the L2 copy can be
+    // there. Seeded reads and writes from four cores over eight times
+    // the shared L3's 64 scaled lines, with DMA fills mixed in, must
+    // leave every private L3 empty after every step.
+    MemorySystem ms(4, cmpHier(), quietBus(), S);
+    Rng rng(23);
+    std::uint64_t misses = 0, dma_fills = 0;
+    for (int i = 0; i < 40'000; ++i) {
+        const unsigned cpu = static_cast<unsigned>(rng.below(4));
+        const Addr addr = sline(rng.below(512));
+        if (rng.below(64) == 0) {
+            ms.dmaFill(addr, 8 * KiB, 0); // Eight sampled lines.
+            ++dma_fills;
+        } else {
+            const AccessKind kind = rng.below(4) == 0
+                                        ? AccessKind::DataWrite
+                                        : AccessKind::DataRead;
+            misses += ms.access(cpu, addr, kind, ExecMode::User, 0)
+                          .l3Miss();
+        }
+        for (unsigned c = 0; c < 4; ++c)
+            ASSERT_EQ(ms.cpu(c).l3().validLines(), 0u)
+                << "core " << c << " step " << i;
+    }
+    // The stream evicted from the shared L3 many times over, filled
+    // every core's L2 and hit DMA.
+    EXPECT_GT(misses, 10 * 64u);
+    EXPECT_GT(dma_fills, 0u);
+    for (unsigned c = 0; c < 4; ++c)
+        EXPECT_GT(ms.cpu(c).l2().validLines(), 0u) << "core " << c;
 }
 
 } // namespace
