@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <iterator>
 #include <string>
@@ -17,6 +18,7 @@
 #include "analysis/piecewise.hh"
 #include "core/client_table.hh"
 #include "paper.hh"
+#include "sim/stats.hh"
 
 namespace odbsim::paper
 {
@@ -50,7 +52,7 @@ ablationL3Size(Plan &plan)
             sims.push_back(plan.add(
                 {key("ablation_l3_size", "L3=" + std::to_string(kb) +
                                              "KB W=" + std::to_string(w)),
-                 w, 4, [kb, w]() -> Outcome {
+                 w, 4, [kb, w]() {
                      core::RunKnobs knobs;
                      knobs.measure = ticksFromSeconds(1.0);
                      core::MachinePreset preset = core::makeMachine(
@@ -104,7 +106,7 @@ ablationDisks(Plan &plan)
         sims.push_back(plan.add(
             {key("ablation_disks", "disks=" + std::to_string(disks) +
                                        " W=400"),
-             400, 4, [disks]() -> Outcome {
+             400, 4, [disks]() {
                  core::RunKnobs knobs;
                  knobs.measure = ticksFromSeconds(1.0);
                  core::MachinePreset preset =
@@ -148,20 +150,25 @@ ablationCmp(Plan &plan)
 {
     static const MachineKind kinds[] = {MachineKind::XeonQuadMp,
                                         MachineKind::CmpQuad};
-    std::vector<std::size_t> sims;
+    constexpr unsigned kSeeds = 3;
+    std::vector<std::size_t> sims; // kSeeds per machine, machine-major
     for (const MachineKind kind : kinds) {
         core::OltpConfiguration cfg;
         cfg.warehouses = 200;
         cfg.processors = 4;
         cfg.machine = kind;
-        sims.push_back(plan.add(
-            {key("ablation_cmp", std::string(core::toString(kind)) +
-                                     " W=200 x3 seeds"),
-             cfg.warehouses, cfg.processors, [cfg]() -> Outcome {
-                 core::RunKnobs knobs;
-                 knobs.measure = ticksFromSeconds(1.2);
-                 return core::repeatRun(cfg, knobs, 3);
-             }}));
+        for (unsigned i = 0; i < kSeeds; ++i) {
+            core::RunKnobs knobs;
+            knobs.measure = ticksFromSeconds(1.2);
+            knobs.seed += 0x9e3779b9ULL * (i + 1);
+            sims.push_back(plan.add(
+                {key("ablation_cmp", std::string(core::toString(kind)) +
+                                         " W=200 seed=" +
+                                         std::to_string(knobs.seed)),
+                 cfg.warehouses, cfg.processors, [cfg, knobs] {
+                     return core::ExperimentRunner::run(cfg, knobs);
+                 }}));
+        }
     }
     return [sims](Report &rep) {
         banner("Ablation: SMP vs CMP",
@@ -169,15 +176,22 @@ ablationCmp(Plan &plan)
                "3.2.2, 5.2, 7)");
         std::printf("%-14s %8s %8s %8s %8s %8s %10s\n", "machine", "tps",
                     "cpi", "mpiK", "bus%", "coh/L3", "tps 95%CI");
-        for (std::size_t i = 0; i < sims.size(); ++i) {
-            const core::RepeatedResult &rr = rep.repeated(sims[i]);
-            const RunResult &r = rr.runs.front();
-            const core::MetricStats tps = rr.tps();
+        for (std::size_t k = 0; k < std::size(kinds); ++k) {
+            RunningStat tps, cpi, mpi;
+            for (unsigned i = 0; i < kSeeds; ++i) {
+                const RunResult &r = rep.run(sims[k * kSeeds + i]);
+                tps.add(r.tps);
+                cpi.add(r.cpi);
+                mpi.add(r.mpi);
+            }
+            // The bus and coherence columns read the first seed's run.
+            const RunResult &first = rep.run(sims[k * kSeeds]);
             std::printf("%-14s %8.0f %8.3f %8.3f %8.1f %8.3f %9.0f\n",
-                        core::toString(kinds[i]), tps.mean,
-                        rr.cpi().mean, rr.mpi().mean * 1e3,
-                        r.busUtil * 100.0, r.coherenceShareOfL3,
-                        tps.ci95());
+                        core::toString(kinds[k]), tps.mean(), cpi.mean(),
+                        mpi.mean() * 1e3, first.busUtil * 100.0,
+                        first.coherenceShareOfL3,
+                        1.96 * tps.stddev() /
+                            std::sqrt(static_cast<double>(tps.count())));
         }
         paperNote(
             "not a paper artifact (forward-looking): the shared 2 MB L3 "
@@ -214,7 +228,7 @@ ablationSmt(Plan &plan)
             sims.push_back(plan.add(
                 {key("ablation_smt", std::string(core::toString(kind)) +
                                          " W=" + std::to_string(w)),
-                 w, 4, [cfg]() -> Outcome {
+                 w, 4, [cfg]() {
                      core::RunKnobs knobs;
                      knobs.measure = ticksFromSeconds(1.2);
                      return core::ExperimentRunner::run(cfg, knobs);
@@ -259,7 +273,7 @@ ablationSampling(Plan &plan)
     for (const std::uint32_t s : periods) {
         sims.push_back(plan.add(
             {key("ablation_sampling", "S=" + std::to_string(s) + " W=100"),
-             100, 4, [s]() -> Outcome {
+             100, 4, [s]() {
                  core::OltpConfiguration cfg;
                  cfg.warehouses = 100;
                  cfg.processors = 4;
@@ -304,8 +318,7 @@ std::vector<Deployment>
 deployments()
 {
     std::vector<Deployment> d(3);
-    d[0].name = "shared-everything";
-    d[0].placement.policy = os::PlacementPolicy::Spread;
+    d[0].name = "shared-everything"; // the default placement
     d[1].name = "island-2";
     d[1].placement.policy = os::PlacementPolicy::Island;
     d[1].placement.islandSockets = 2;
@@ -358,7 +371,7 @@ islands(Plan &plan)
             std::snprintf(label, sizeof(label), "islands scale=%.2f %s",
                           scale, d.name);
             sims.push_back(plan.add(
-                {label, cfg.warehouses, cfg.processors, [cfg]() -> Outcome {
+                {label, cfg.warehouses, cfg.processors, [cfg]() {
                      return core::ExperimentRunner::run(cfg);
                  }}));
         }
@@ -526,7 +539,7 @@ faults(Plan &plan)
         cfg.warehouses = kSweepWarehouses;
         cfg.processors = kSweepProcessors;
         return plan.add({"faults " + label, cfg.warehouses,
-                         cfg.processors, [cfg, fc]() -> Outcome {
+                         cfg.processors, [cfg, fc]() {
                              core::RunKnobs knobs;
                              knobs.faults = fc;
                              return core::ExperimentRunner::run(cfg,

@@ -7,7 +7,6 @@
 #include <cstdlib>
 #include <iterator>
 #include <mutex>
-#include <numeric>
 
 #include "sim/parallel_for.hh"
 
@@ -33,9 +32,7 @@ Plan::point(const core::OltpConfiguration &cfg)
     key += " W=" + std::to_string(cfg.warehouses);
     key += " P=" + std::to_string(cfg.processors);
     return add({std::move(key), cfg.warehouses, cfg.processors,
-                [cfg]() -> Outcome {
-                    return core::ExperimentRunner::run(cfg);
-                }});
+                [cfg] { return core::ExperimentRunner::run(cfg); }});
 }
 
 StudyHandle
@@ -53,26 +50,14 @@ Plan::study(core::MachineKind machine)
     return h;
 }
 
-Report::Report(std::vector<Outcome> outcomes, std::string csv_dir)
-    : outcomes_(std::move(outcomes)), csvDir_(std::move(csv_dir))
+Report::Report(std::vector<core::RunResult> results, std::string csv_dir)
+    : results_(std::move(results)), csvDir_(std::move(csv_dir))
 {}
 
 const core::RunResult &
 Report::run(std::size_t sim) const
 {
-    return std::get<core::RunResult>(outcomes_.at(sim));
-}
-
-const core::TunedClients &
-Report::tuned(std::size_t sim) const
-{
-    return std::get<core::TunedClients>(outcomes_.at(sim));
-}
-
-const core::RepeatedResult &
-Report::repeated(std::size_t sim) const
-{
-    return std::get<core::RepeatedResult>(outcomes_.at(sim));
+    return results_.at(sim);
 }
 
 core::StudyResult
@@ -113,61 +98,36 @@ artifacts()
     return all;
 }
 
-namespace
-{
-
-/** Simulation events an outcome fired, over all of its runs. */
-std::uint64_t
-eventsOf(const Outcome &o)
-{
-    if (const auto *r = std::get_if<core::RunResult>(&o))
-        return r->eventsFired;
-    if (const auto *t = std::get_if<core::TunedClients>(&o))
-        return t->eventsFired;
-    std::uint64_t events = 0;
-    for (const core::RunResult &r : std::get<core::RepeatedResult>(o).runs)
-        events += r.eventsFired;
-    return events;
-}
-
-} // namespace
-
-std::vector<Outcome>
+std::vector<core::RunResult>
 runPlan(const Plan &plan, unsigned jobs, double &sim_seconds)
 {
     const std::vector<Simulation> &sims = plan.simulations();
-    const auto size = [&](std::size_t i) {
-        return std::uint64_t{sims[i].warehouses} * sims[i].processors;
-    };
-    std::vector<std::size_t> order(sims.size());
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                         return size(a) > size(b);
-                     });
-
-    std::vector<Outcome> outcomes(sims.size());
+    std::vector<core::RunResult> results(sims.size());
     std::mutex progress_mutex;
     std::size_t done = 0;
-    parallelFor(jobs, sims.size(), [&](std::size_t k) {
-        const Simulation &sim = sims[order[k]];
-        const auto t0 = std::chrono::steady_clock::now();
-        Outcome o = sim.run();
-        const double wall = std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - t0)
-                                .count();
-        {
-            std::lock_guard<std::mutex> lock(progress_mutex);
-            sim_seconds += wall;
-            std::fprintf(stderr,
-                         "[paper] %3zu/%zu %-40s %7.3f s %12" PRIu64
-                         " events\n",
-                         ++done, sims.size(), sim.key.c_str(), wall,
-                         eventsOf(o));
-        }
-        outcomes[order[k]] = std::move(o);
-    });
-    return outcomes;
+    parallelForLargestFirst(
+        jobs, sims.size(),
+        [&](std::size_t i) {
+            return std::uint64_t{sims[i].warehouses} * sims[i].processors;
+        },
+        [&](std::size_t i) {
+            const auto t0 = std::chrono::steady_clock::now();
+            core::RunResult r = sims[i].run();
+            const double wall = std::chrono::duration<double>(
+                                    std::chrono::steady_clock::now() - t0)
+                                    .count();
+            {
+                std::lock_guard<std::mutex> lock(progress_mutex);
+                sim_seconds += wall;
+                std::fprintf(stderr,
+                             "[paper] %3zu/%zu %-40s %7.3f s %12" PRIu64
+                             " events\n",
+                             ++done, sims.size(), sims[i].key.c_str(),
+                             wall, r.eventsFired);
+            }
+            results[i] = std::move(r);
+        });
+    return results;
 }
 
 void

@@ -15,21 +15,15 @@
 #include <cstdio>
 #include <functional>
 #include <string>
-#include <variant>
 #include <vector>
 
-#include "core/client_tuner.hh"
-#include "core/repeat.hh"
 #include "core/scaling_study.hh"
 
 namespace odbsim::paper
 {
 
-/** What one simulation returns. */
-using Outcome =
-    std::variant<core::RunResult, core::TunedClients, core::RepeatedResult>;
-
-/** One independent simulation of the plan. */
+/** One independent simulation of the plan: one seed of one
+ *  configuration, or one whole client search. */
 struct Simulation
 {
     /** Identity and progress label: equal keys are one simulation. */
@@ -38,7 +32,7 @@ struct Simulation
      *  warehouses × processors first. */
     unsigned warehouses = 0;
     unsigned processors = 0;
-    std::function<Outcome()> run;
+    std::function<core::RunResult()> run;
 };
 
 /** A planned study: its configuration and the plan index of each of
@@ -90,11 +84,9 @@ class Plan
 class Report
 {
   public:
-    Report(std::vector<Outcome> outcomes, std::string csv_dir);
+    Report(std::vector<core::RunResult> results, std::string csv_dir);
 
     const core::RunResult &run(std::size_t sim) const;
-    const core::TunedClients &tuned(std::size_t sim) const;
-    const core::RepeatedResult &repeated(std::size_t sim) const;
     core::StudyResult study(const StudyHandle &h) const;
 
     /**
@@ -118,7 +110,7 @@ class Report
     }
 
   private:
-    std::vector<Outcome> outcomes_;
+    std::vector<core::RunResult> results_;
     std::string csvDir_;
     std::vector<std::string> failures_;
 };
@@ -144,14 +136,15 @@ std::vector<Artifact> paperArtifacts();
 std::vector<Artifact> extraArtifacts();
 
 /**
- * Run every simulation of @p plan on @p jobs workers (0 = one per
- * hardware thread), largest warehouses × processors first and stable
- * in plan order, and collect the outcomes by plan index. Prints one
- * progress line per finished simulation to stderr with its wall
- * seconds and event count, and adds those seconds to @p sim_seconds.
+ * Run every simulation of @p plan on parallelForLargestFirst with
+ * @p jobs workers (0 = one per hardware thread), largest warehouses ×
+ * processors first and stable in plan order, and collect the results
+ * by plan index. Prints one progress line per finished simulation to
+ * stderr with its wall seconds and eventsFired, and adds those seconds
+ * to @p sim_seconds.
  */
-std::vector<Outcome> runPlan(const Plan &plan, unsigned jobs,
-                             double &sim_seconds);
+std::vector<core::RunResult> runPlan(const Plan &plan, unsigned jobs,
+                                     double &sim_seconds);
 
 /** @name Shared printing helpers @{ */
 /** Print the standard artifact banner. */

@@ -2,40 +2,36 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 namespace odbsim::core
 {
 
-TunedClients
+RunResult
 ClientTuner::tune(OltpConfiguration cfg, double target_util,
                   unsigned max_clients, RunKnobs knobs)
 {
-    TunedClients out;
     // Start from one runnable process per CPU; grow until the target
     // utilization is met or adding clients stops helping (I/O bound).
     unsigned c =
         std::min(max_clients, std::max(2u, 2 * cfg.processors));
     double prev_util = 0.0;
+    std::uint64_t events = 0;
+    double wall = 0.0;
 
-    while (true) {
+    for (unsigned trials = 1;; ++trials) {
         cfg.clients = c;
-        const RunResult r = ExperimentRunner::run(cfg, knobs);
-        ++out.trials;
-        out.eventsFired += r.eventsFired;
-        out.clients = c;
-        out.achievedUtil = r.cpuUtil;
+        RunResult r = ExperimentRunner::run(cfg, knobs);
+        events += r.eventsFired;
+        wall += r.wallSeconds;
 
-        if (r.cpuUtil >= target_util)
-            return out;
-        if (c >= max_clients) {
-            out.ioBound = true;
-            return out;
-        }
-        if (out.trials > 2 && r.cpuUtil < prev_util + 0.005) {
-            // More clients no longer raise utilization: the storage
-            // subsystem is the bottleneck.
-            out.ioBound = true;
-            return out;
+        // More clients no longer raising utilization means the storage
+        // subsystem is the bottleneck.
+        if (r.cpuUtil >= target_util || c >= max_clients ||
+            (trials > 2 && r.cpuUtil < prev_util + 0.005)) {
+            r.eventsFired = events;
+            r.wallSeconds = wall;
+            return r;
         }
         prev_util = r.cpuUtil;
 

@@ -10,24 +10,10 @@
 #ifndef ODBSIM_CORE_CLIENT_TUNER_HH
 #define ODBSIM_CORE_CLIENT_TUNER_HH
 
-#include <cstdint>
-
 #include "core/experiment.hh"
 
 namespace odbsim::core
 {
-
-/** Tuning outcome for one configuration. */
-struct TunedClients
-{
-    unsigned clients = 0;
-    double achievedUtil = 0.0;
-    /** Utilization stopped improving before the target was met. */
-    bool ioBound = false;
-    unsigned trials = 0;
-    /** Simulation events fired over all trials (host-side profiling). */
-    std::uint64_t eventsFired = 0;
-};
 
 /**
  * Searches the client count for a utilization target.
@@ -36,15 +22,22 @@ class ClientTuner
 {
   public:
     /**
+     * Run trials at a growing client count until one reaches
+     * @p target_util, the count reaches @p max_clients, or, after the
+     * third trial, utilization stops rising (I/O bound).
+     *
      * @param cfg Configuration to tune (its clients field is ignored).
      * @param target_util Utilization goal (the paper's 0.90).
      * @param max_clients Search ceiling.
      * @param knobs Per-trial simulation knobs (short runs suffice).
+     * @return The last trial: its clients are the tuned count, and its
+     *         cpuUtil is below @p target_util exactly when the search
+     *         stopped I/O bound. eventsFired and wallSeconds are summed
+     *         over every trial.
      */
-    static TunedClients tune(OltpConfiguration cfg,
-                             double target_util = 0.90,
-                             unsigned max_clients = 128,
-                             RunKnobs knobs = shortKnobs());
+    static RunResult tune(OltpConfiguration cfg, double target_util = 0.90,
+                          unsigned max_clients = 128,
+                          RunKnobs knobs = shortKnobs());
 
     /** Abbreviated knobs for tuning trials. */
     static RunKnobs

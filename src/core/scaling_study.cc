@@ -1,10 +1,8 @@
 #include "core/scaling_study.hh"
 
-#include <algorithm>
 #include <cstdint>
 #include <iterator>
 #include <mutex>
-#include <numeric>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -97,34 +95,25 @@ ScalingStudy::run(const StudyConfig &cfg)
 {
     const std::vector<OltpConfiguration> points = grid(cfg);
 
-    // Run the points longest-first by warehouses × processors, which
-    // tracks simulated work: the most expensive simulations start
-    // earliest, so no worker is left finishing a large point alone at
-    // the end. The sort is stable, so equal-cost points keep grid
-    // order and the dispatch sequence is fixed for a given config.
-    const auto cost = [&](std::size_t g) {
-        return std::uint64_t{points[g].warehouses} * points[g].processors;
-    };
-    std::vector<std::size_t> order(points.size());
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                         return cost(a) > cost(b);
-                     });
-
-    // Every point has a fixed slot: results are collected by grid
-    // index, never by completion order, which is what keeps the study
-    // bit-identical at every job count.
+    // Warehouses × processors tracks a point's simulated work, so the
+    // most expensive points start first. Every point has a fixed slot:
+    // results are collected by grid index, never by completion order,
+    // which is what keeps the study bit-identical at every job count.
     std::vector<RunResult> results(points.size());
     std::mutex progress_mutex;
-    parallelFor(cfg.jobs, points.size(), [&](std::size_t k) {
-        RunResult r = ExperimentRunner::run(points[order[k]], cfg.knobs);
-        if (cfg.onPoint) {
-            std::lock_guard<std::mutex> lock(progress_mutex);
-            cfg.onPoint(r);
-        }
-        results[order[k]] = std::move(r);
-    });
+    parallelForLargestFirst(
+        cfg.jobs, points.size(),
+        [&](std::size_t g) {
+            return std::uint64_t{points[g].warehouses} * points[g].processors;
+        },
+        [&](std::size_t g) {
+            RunResult r = ExperimentRunner::run(points[g], cfg.knobs);
+            if (cfg.onPoint) {
+                std::lock_guard<std::mutex> lock(progress_mutex);
+                cfg.onPoint(r);
+            }
+            results[g] = std::move(r);
+        });
     return assemble(cfg, std::move(results));
 }
 

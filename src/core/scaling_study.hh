@@ -139,8 +139,9 @@ class ScalingStudy
     /**
      * @brief Measure every (warehouses, processors) grid point.
      *
-     * The independent points of grid(cfg) run longest-first on
-     * parallelFor with cfg.jobs workers; results land in their grid
+     * The independent points of grid(cfg) run on
+     * parallelForLargestFirst with cfg.jobs workers, largest
+     * warehouses × processors first; results land in their grid
      * slot regardless of completion order, so the returned
      * StudyResult is the same at every job count. Bad inputs stop the
      * process as grid() does, before any point runs. A failure

@@ -1,6 +1,6 @@
 #include "core/study_io.hh"
 
-#include <fstream>
+#include <ostream>
 
 namespace odbsim::core
 {
@@ -43,16 +43,6 @@ saveStudyCsv(const StudyResult &study, std::ostream &out)
                 << r.breakdown.l3 << ',' << r.breakdown.other << "\n";
         }
     }
-}
-
-bool
-saveStudyCsv(const StudyResult &study, const std::string &path)
-{
-    std::ofstream out(path);
-    if (!out)
-        return false;
-    saveStudyCsv(study, out);
-    return static_cast<bool>(out);
 }
 
 } // namespace odbsim::core

@@ -8,7 +8,6 @@
 #define ODBSIM_CORE_STUDY_IO_HH
 
 #include <iosfwd>
-#include <string>
 
 #include "core/scaling_study.hh"
 
@@ -22,7 +21,6 @@ namespace odbsim::core
  * left out, so the file regenerates byte for byte.
  */
 void saveStudyCsv(const StudyResult &study, std::ostream &out);
-bool saveStudyCsv(const StudyResult &study, const std::string &path);
 
 } // namespace odbsim::core
 

@@ -1,7 +1,5 @@
 #include "db/database.hh"
 
-#include <vector>
-
 namespace odbsim::db
 {
 
@@ -32,16 +30,12 @@ Database::start()
 }
 
 void
-Database::instantWarm(const std::vector<std::uint32_t> &active_warehouses)
+Database::instantWarm()
 {
     const auto dirty_below =
         static_cast<std::uint64_t>(cfg_.warmDirtyFraction * 1000.0);
     bufcache_.warmFill(
-        [&](const Schema::WarmSink &sink) {
-            schema_.enumerateWarm(sink, active_warehouses.empty()
-                                            ? nullptr
-                                            : &active_warehouses);
-        },
+        [&](const Schema::WarmSink &sink) { schema_.enumerateWarm(sink); },
         [dirty_below](BlockId b) {
             return Schema::mix(b, 0xd1d1, 0) % 1000 < dirty_below;
         });

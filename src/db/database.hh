@@ -61,12 +61,8 @@ class Database
      * substitute for the paper's 20-minute warm-up run. One pass of
      * BufferCache::warmFill() over Schema::enumerateWarm()'s stream;
      * the cache must be empty.
-     *
-     * @param active_warehouses Home warehouses of the bound clients;
-     *        empty means all warehouses are active.
      */
-    void instantWarm(const std::vector<std::uint32_t>
-                         &active_warehouses = {});
+    void instantWarm();
 
     os::System &sys() { return sys_; }
     Schema &schema() { return schema_; }

@@ -387,8 +387,7 @@ Schema::initialOlCnt(std::uint32_t w, std::uint32_t d,
 }
 
 void
-Schema::enumerateWarm(const WarmSink &sink,
-                      const std::vector<std::uint32_t> *active) const
+Schema::enumerateWarm(const WarmSink &sink) const
 {
     // The stages below emit one block at a time through cb, which
     // fills a stack chunk and hands it to the sink when full. cb
@@ -460,20 +459,6 @@ Schema::enumerateWarm(const WarmSink &sink,
             return;
     }
 
-    // The warehouse set the per-warehouse stages iterate: the home
-    // warehouses when given, else all of them.
-    std::vector<std::uint32_t> home_ws;
-    if (active && !active->empty()) {
-        home_ws = *active;
-        std::sort(home_ws.begin(), home_ws.end());
-        home_ws.erase(std::unique(home_ws.begin(), home_ws.end()),
-                      home_ws.end());
-    } else {
-        home_ws.resize(w_cnt);
-        for (std::uint32_t w = 0; w < w_cnt; ++w)
-            home_ws[w] = w;
-    }
-
     // Stage 4: the hot tier — the skew-favoured customer and stock
     // rows and their index leaves, interleaved across warehouses so
     // every warehouse's hot rows are covered before any cold block.
@@ -492,7 +477,7 @@ Schema::enumerateWarm(const WarmSink &sink,
         std::max<std::uint64_t>(hot_cust_blocks_per_d * d_cnt,
                                 hot_stock_blocks);
     for (std::uint64_t r = 0; r < hot_rounds; ++r) {
-        for (const std::uint32_t w : home_ws) {
+        for (std::uint32_t w = 0; w < w_cnt; ++w) {
             if (r < hot_cust_blocks_per_d * d_cnt) {
                 const std::uint32_t d = static_cast<std::uint32_t>(
                     r / hot_cust_blocks_per_d);
@@ -526,7 +511,7 @@ Schema::enumerateWarm(const WarmSink &sink,
     // Stage 5: the delivery window — a few order and order-line
     // blocks past the delivery frontier, plus the index leaves over
     // them.
-    for (const std::uint32_t w : home_ws) {
+    for (std::uint32_t w = 0; w < w_cnt; ++w) {
         for (std::uint32_t d = 0; d < d_cnt; ++d) {
             const std::uint64_t dd = district(w, d);
             const BlockId ord_lo = orderRow(w, d, nextDelivery_[dd]).block;
@@ -563,7 +548,7 @@ Schema::enumerateWarm(const WarmSink &sink,
         stockIdxKeysPerLeaf;
     const std::uint64_t max_round = std::max(cust_per_w, stock_per_w);
     for (std::uint64_t r = 0; r < max_round; ++r) {
-        for (const std::uint32_t w : home_ws) {
+        for (std::uint32_t w = 0; w < w_cnt; ++w) {
             if (r < cil_per_w) {
                 const std::uint64_t key =
                     customerKey(w, 0, 0) + r * custIdxKeysPerLeaf;

@@ -242,15 +242,8 @@ class Schema
      * Emit block ids from hottest to coldest (for warm pre-fill) to
      * @p sink, up to warmChunk of them per call, in order; stops after
      * the call that returns false.
-     *
-     * @param active Warehouses with bound clients; when non-null,
-     *        per-warehouse heap/leaf stages cover only these (remote
-     *        traffic touches the rest, but steady-state residency is
-     *        dominated by home warehouses).
      */
-    void enumerateWarm(const WarmSink &sink,
-                       const std::vector<std::uint32_t> *active =
-                           nullptr) const;
+    void enumerateWarm(const WarmSink &sink) const;
 
   private:
     std::uint64_t

@@ -68,23 +68,13 @@ OdbWorkload::start()
         homes_.push_back(home);
         auto sp = std::make_unique<ServerProcess>(
             db_, *this, planner_, home, rng_.fork());
-        switch (pl.policy) {
-          case os::PlacementPolicy::None:
-          case os::PlacementPolicy::Spread:
-            // Shared-everything: float over every CPU, draw globally.
-            break;
-          case os::PlacementPolicy::Pack:
-            // One undersized instance on the first islandSockets
-            // sockets; the remaining CPUs stay idle.
-            sp->setCpuAffinity(sys.socketAffinityMask(
-                0, std::clamp(pl.islandSockets, 1u, sockets)));
-            break;
-          case os::PlacementPolicy::Island:
+        // Shared-everything (None) floats over every CPU and draws
+        // globally.
+        if (pl.policy == os::PlacementPolicy::Island) {
             sp->setCpuAffinity(
                 sys.socketAffinityMask(island * island_k, island_k));
             sp->setPartition(w_lo, w_hi, pl.crossIslandFraction,
                              pl.crossIslandCoordInstr);
-            break;
         }
         servers_.push_back(sp.get());
         sys.spawn(std::move(sp));

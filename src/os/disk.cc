@@ -305,28 +305,6 @@ DiskArray::totalWrites() const
 }
 
 std::uint64_t
-DiskArray::totalBytesRead() const
-{
-    std::uint64_t n = 0;
-    for (const auto &d : dataDisks_)
-        n += d->bytesRead();
-    for (const auto &d : logDisks_)
-        n += d->bytesRead();
-    return n;
-}
-
-std::uint64_t
-DiskArray::totalBytesWritten() const
-{
-    std::uint64_t n = 0;
-    for (const auto &d : dataDisks_)
-        n += d->bytesWritten();
-    for (const auto &d : logDisks_)
-        n += d->bytesWritten();
-    return n;
-}
-
-std::uint64_t
 DiskArray::dataReads() const
 {
     std::uint64_t n = 0;

@@ -199,8 +199,6 @@ class DiskArray
     /** @name Aggregate statistics over data + log drives @{ */
     std::uint64_t totalReads() const;
     std::uint64_t totalWrites() const;
-    std::uint64_t totalBytesRead() const;
-    std::uint64_t totalBytesWritten() const;
     std::uint64_t dataReads() const;
     std::uint64_t dataWrites() const;
     std::uint64_t dataBytesRead() const;

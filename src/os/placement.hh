@@ -22,20 +22,12 @@ namespace odbsim::os
 /** How server processes are placed on the socket topology. */
 enum class PlacementPolicy : std::uint8_t
 {
-    /** Legacy behaviour: no pinning, uniform warehouse draws. */
+    /**
+     * Shared-everything, the legacy behaviour: one instance spans the
+     * machine; processes float freely over every CPU and draw
+     * warehouses uniformly.
+     */
     None,
-    /**
-     * Shared-everything: one instance spans the machine; processes
-     * float freely over every CPU and draw warehouses uniformly (like
-     * None, but named as the deployment it models).
-     */
-    Spread,
-    /**
-     * Every process is pinned to the first islandSockets sockets —
-     * one undersized instance, leaving the remaining sockets' CPUs
-     * idle. Mostly a diagnostic extreme.
-     */
-    Pack,
     /**
      * Hardware islands: the sockets are split into S/islandSockets
      * groups, server processes are pinned to one group each, and
@@ -50,7 +42,7 @@ struct PlacementConfig
 {
     /** Policy to apply (None = legacy, bit-identical behaviour). */
     PlacementPolicy policy = PlacementPolicy::None;
-    /** Sockets per island (Island) or instance width (Pack). */
+    /** Sockets per island (Island only). */
     unsigned islandSockets = 1;
     /**
      * Probability that an Island-partitioned transaction draws its
@@ -70,23 +62,6 @@ struct PlacementConfig
      */
     std::uint64_t crossIslandCoordInstr = 400000;
 };
-
-/** Human-readable policy name (CSV/report labels). */
-constexpr const char *
-toString(PlacementPolicy p)
-{
-    switch (p) {
-      case PlacementPolicy::None:
-        return "none";
-      case PlacementPolicy::Spread:
-        return "spread";
-      case PlacementPolicy::Pack:
-        return "pack";
-      case PlacementPolicy::Island:
-        return "island";
-    }
-    return "?";
-}
 
 } // namespace odbsim::os
 

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <cstddef>
 #include <exception>
+#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -77,6 +78,29 @@ parallelFor(unsigned jobs, std::size_t n, Fn &&fn)
         if (failure)
             std::rethrow_exception(failure);
     }
+}
+
+/**
+ * parallelFor over fn(0) … fn(n-1), dispatched largest size(i) first.
+ *
+ * The indices are stable-sorted by descending size(i), so equal sizes
+ * keep index order, and parallelFor claims them in that order; fn gets
+ * the original index. When size tracks a job's cost, the longest jobs
+ * start earliest and no worker is left finishing a large one alone at
+ * the end (longest-processing-time-first). The order is fixed for given
+ * sizes, and at one worker it is the order fn runs in on the caller.
+ */
+template <typename Size, typename Fn>
+void
+parallelForLargestFirst(unsigned jobs, std::size_t n, Size &&size, Fn &&fn)
+{
+    std::vector<std::size_t> order(n);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return size(a) > size(b);
+                     });
+    parallelFor(jobs, n, [&](std::size_t k) { fn(order[k]); });
 }
 
 } // namespace odbsim

@@ -88,45 +88,6 @@ class Histogram
     std::uint64_t overflow_ = 0;
 };
 
-/**
- * A time-weighted utilization tracker: accumulates busy time against
- * total observed time, e.g. for CPU or bus utilization.
- */
-class UtilizationTracker
-{
-  public:
-    /** Record an interval of the given length, busy or idle. */
-    void
-    record(std::uint64_t length, bool busy)
-    {
-        total_ += length;
-        if (busy)
-            busy_ += length;
-    }
-
-    void
-    reset()
-    {
-        total_ = 0;
-        busy_ = 0;
-    }
-
-    std::uint64_t busyTime() const { return busy_; }
-    std::uint64_t totalTime() const { return total_; }
-
-    double
-    utilization() const
-    {
-        return total_ ? static_cast<double>(busy_) /
-                            static_cast<double>(total_)
-                      : 0.0;
-    }
-
-  private:
-    std::uint64_t total_ = 0;
-    std::uint64_t busy_ = 0;
-};
-
 } // namespace odbsim
 
 #endif // ODBSIM_SIM_STATS_HH

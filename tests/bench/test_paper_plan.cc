@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -89,11 +90,11 @@ TEST(PaperPlan, Fig19PlansBothStudies)
 
 TEST(PaperPlan, WholePaperPlansEachDistinctSimulationOnce)
 {
-    // 72 study points, 15 tuner cells, 40 ablation runs, Figure 2's
+    // 72 study points, 15 tuner cells, 44 ablation runs, Figure 2's
     // 1200 W point, 12 islands points and 9 faults points.
     Plan plan;
     planAll(plan, allNames());
-    EXPECT_EQ(plan.simulations().size(), 149u);
+    EXPECT_EQ(plan.simulations().size(), 153u);
     std::set<std::string> keys;
     for (const Simulation &s : plan.simulations()) {
         EXPECT_TRUE(keys.insert(s.key).second) << s.key;
@@ -106,9 +107,28 @@ TEST(PaperPlan, PlanningAnArtifactTwiceAddsNothing)
 {
     Plan plan;
     planAll(plan, {"table1_clients", "ablation_cmp"});
-    EXPECT_EQ(plan.simulations().size(), 17u);
+    EXPECT_EQ(plan.simulations().size(), 21u);
     planAll(plan, {"ablation_cmp", "table1_clients"});
-    EXPECT_EQ(plan.simulations().size(), 17u);
+    EXPECT_EQ(plan.simulations().size(), 21u);
+}
+
+TEST(PaperPlan, AblationCmpPlansThreeSeedsPerMachine)
+{
+    // Each seed of each machine is its own simulation, keyed
+    // "ablation_cmp <machine> W=200 seed=<seed>".
+    Plan plan;
+    planAll(plan, {"ablation_cmp"});
+    ASSERT_EQ(plan.simulations().size(), 6u);
+    std::map<std::string, std::set<std::string>> seeds;
+    for (const Simulation &s : plan.simulations()) {
+        const std::size_t at = s.key.find(" seed=");
+        ASSERT_NE(at, std::string::npos) << s.key;
+        seeds[s.key.substr(0, at)].insert(s.key.substr(at + 6));
+    }
+    ASSERT_EQ(seeds.size(), 2u);
+    for (const auto &[machine, distinct] : seeds)
+        EXPECT_EQ(distinct.size(), 3u) << machine;
+    EXPECT_EQ(seeds.begin()->second, seeds.rbegin()->second);
 }
 
 TEST(PaperPlan, StudyPointsFollowTheStudyGrid)

@@ -27,14 +27,11 @@ TEST(ClientTuner, ReachesTargetOnCachedSetup)
     OltpConfiguration cfg;
     cfg.warehouses = 10;
     cfg.processors = 1;
-    const TunedClients t =
-        ClientTuner::tune(cfg, 0.90, 64, trialKnobs());
-    EXPECT_GE(t.achievedUtil, 0.90);
-    EXPECT_FALSE(t.ioBound);
+    const RunResult t = ClientTuner::tune(cfg, 0.90, 64, trialKnobs());
+    EXPECT_GE(t.cpuUtil, 0.90);
     // Paper found 8 clients at (10 W, 1P); small machines saturate
     // with a handful of clients.
     EXPECT_LE(t.clients, 16u);
-    EXPECT_GE(t.trials, 1u);
 }
 
 TEST(ClientTuner, MoreProcessorsNeedMoreClients)
@@ -44,10 +41,8 @@ TEST(ClientTuner, MoreProcessorsNeedMoreClients)
     one.processors = 1;
     four.warehouses = 10;
     four.processors = 4;
-    const TunedClients t1 =
-        ClientTuner::tune(one, 0.90, 64, trialKnobs());
-    const TunedClients t4 =
-        ClientTuner::tune(four, 0.90, 64, trialKnobs());
+    const RunResult t1 = ClientTuner::tune(one, 0.90, 64, trialKnobs());
+    const RunResult t4 = ClientTuner::tune(four, 0.90, 64, trialKnobs());
     EXPECT_GE(t4.clients, t1.clients);
 }
 
@@ -56,10 +51,10 @@ TEST(ClientTuner, CeilingMarksIoBound)
     OltpConfiguration cfg;
     cfg.warehouses = 100;
     cfg.processors = 4;
-    // An absurdly low ceiling cannot reach 90%.
-    const TunedClients t = ClientTuner::tune(cfg, 0.90, 4, trialKnobs());
-    EXPECT_TRUE(t.ioBound || t.achievedUtil >= 0.90);
-    EXPECT_LE(t.clients, 4u);
+    // The ceiling of 4 caps 4P's first trial (2 clients per CPU) and
+    // ends the search there.
+    const RunResult t = ClientTuner::tune(cfg, 0.90, 4, trialKnobs());
+    EXPECT_EQ(t.clients, 4u);
 }
 
 TEST(ClientTuner, TrivialTargetSatisfiedImmediately)
@@ -67,10 +62,10 @@ TEST(ClientTuner, TrivialTargetSatisfiedImmediately)
     OltpConfiguration cfg;
     cfg.warehouses = 10;
     cfg.processors = 1;
-    const TunedClients t =
-        ClientTuner::tune(cfg, 0.10, 64, trialKnobs());
-    EXPECT_EQ(t.trials, 1u);
-    EXPECT_GE(t.achievedUtil, 0.10);
+    const RunResult t = ClientTuner::tune(cfg, 0.10, 64, trialKnobs());
+    // The first trial's count on 1P.
+    EXPECT_EQ(t.clients, 2u);
+    EXPECT_GE(t.cpuUtil, 0.10);
 }
 
 } // namespace

@@ -48,9 +48,9 @@ expectBitIdentical(const RunResult &a, const RunResult &b)
 
 TEST(Islands, SingleSocketRunIsBitIdenticalToLegacy)
 {
-    // The docs/TOPOLOGY.md S=1 contract, end to end: with one socket,
-    // absurd interconnect knobs and the Spread policy, a full run must
-    // be bit-identical to the untouched default configuration.
+    // The docs/TOPOLOGY.md S=1 contract, end to end: with one socket
+    // and absurd interconnect knobs, a full run must be bit-identical
+    // to the untouched default configuration.
     OltpConfiguration legacy;
     legacy.warehouses = 10;
     legacy.processors = 2;
@@ -59,7 +59,6 @@ TEST(Islands, SingleSocketRunIsBitIdenticalToLegacy)
     knobbed.topology.sockets = 1;
     knobbed.topology.hopLatencyCycles = 1e6;
     knobbed.topology.linkOccupancyCycles = 1e6;
-    knobbed.placement.policy = os::PlacementPolicy::Spread;
 
     const RunResult a = ExperimentRunner::run(legacy, quickKnobs());
     const RunResult b = ExperimentRunner::run(knobbed, quickKnobs());

@@ -15,8 +15,7 @@
  * shared-L3 CMP on two sockets, more sockets than the directories'
  * sharer masks hold, a page shift outside [6, 30]) stops likewise, as
  * do an Island placement whose sockets per island do not divide the
- * socket count or that has more islands than warehouses, and
- * repeatRun with zero repeats.
+ * socket count or that has more islands than warehouses.
  */
 
 #include <gtest/gtest.h>
@@ -29,7 +28,6 @@
 
 #include "core/experiment.hh"
 #include "core/machine.hh"
-#include "core/repeat.hh"
 #include "core/scaling_study.hh"
 
 namespace
@@ -409,13 +407,6 @@ TEST(RunInputsDeathTest, StudyRejectsABadIslandPlacementBeforeAnyPoint)
         EXPECT_EXIT(ScalingStudy::run(cfg), testing::ExitedWithCode(1),
                     bad.message);
     }
-}
-
-TEST(RunInputsDeathTest, RepeatRunRejectsZeroRepeats)
-{
-    EXPECT_EXIT(repeatRun(point(10), fastKnobs(), 0),
-                testing::ExitedWithCode(1),
-                "fatal: repeatRun needs at least 1 repeat, got 0");
 }
 
 } // namespace

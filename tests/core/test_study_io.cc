@@ -6,11 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <iterator>
 #include <sstream>
-#include <string>
 
 #include "core/study_io.hh"
 
@@ -107,23 +103,6 @@ TEST(StudyIo, RoundTripPreservesEverything)
     std::ostringstream buf;
     saveStudyCsv(sampleStudy(), buf);
     EXPECT_EQ(buf.str(), kSampleCsv);
-}
-
-TEST(StudyIo, FileRoundTrip)
-{
-    const std::string path =
-        ::testing::TempDir() + "odbsim_study_io_test.csv";
-    ASSERT_TRUE(saveStudyCsv(sampleStudy(), path));
-    std::ifstream in(path);
-    const std::string text((std::istreambuf_iterator<char>(in)),
-                           std::istreambuf_iterator<char>());
-    EXPECT_EQ(text, kSampleCsv);
-    std::remove(path.c_str());
-}
-
-TEST(StudyIo, UnwritablePathFails)
-{
-    EXPECT_FALSE(saveStudyCsv(sampleStudy(), "/nonexistent/odbsim.csv"));
 }
 
 } // namespace

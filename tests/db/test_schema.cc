@@ -226,22 +226,6 @@ TEST(Schema, WarmEnumerationUniqueInPrefixAndBounded)
     EXPECT_TRUE(seen.count(s.districtRow(0, 0).block));
 }
 
-TEST(Schema, WarmEnumerationHonoursActiveList)
-{
-    Schema s(tinyCfg(4));
-    std::vector<std::uint32_t> active = {2};
-    std::unordered_set<BlockId> seen;
-    s.enumerateWarm(
-        [&](std::span<const BlockId> chunk) {
-            seen.insert(chunk.begin(), chunk.end());
-            return true;
-        },
-        &active);
-    // Warehouse 2's hot customer block is in; warehouse 3's is not.
-    EXPECT_TRUE(seen.count(s.customerRow(2, 0, 0).block));
-    EXPECT_FALSE(seen.count(s.customerRow(3, 0, 0).block));
-}
-
 TEST(Schema, WarmEnumerationStopsAfterTheSinkSaysSo)
 {
     // The whole stream, a chunk at a time: every chunk but the last is

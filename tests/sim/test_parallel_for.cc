@@ -6,7 +6,8 @@
  * runs in index order on the caller, the worker count is clamped to
  * the index count, the lowest-indexed exception wins without
  * cancelling the rest, and a many-round churn case for the
- * ThreadSanitizer build.
+ * ThreadSanitizer build. parallelForLargestFirst runs the largest
+ * sizes first, equal sizes in index order, and every index once.
  */
 
 #include <gtest/gtest.h>
@@ -125,6 +126,26 @@ TEST(ParallelFor, OneWorkerRunsInIndexOrderOnTheCaller)
     for (std::size_t i = 0; i < order.size(); ++i)
         EXPECT_EQ(order[i], i);
     EXPECT_TRUE(on_caller);
+}
+
+TEST(ParallelFor, LargestFirstRunsDescendingSizesStably)
+{
+    const std::vector<int> sizes = {2, 5, 2, 9, 5, 1};
+    const auto size = [&](std::size_t i) { return sizes[i]; };
+
+    // One worker runs on the caller in dispatch order: 9, then the two
+    // 5s and the two 2s each in index order, then 1.
+    std::vector<std::size_t> order;
+    parallelForLargestFirst(1, sizes.size(), size,
+                            [&](std::size_t i) { order.push_back(i); });
+    EXPECT_EQ(order, (std::vector<std::size_t>{3, 1, 4, 0, 2, 5}));
+
+    std::vector<std::atomic<int>> hits(sizes.size()); // one slot each
+    parallelForLargestFirst(4, sizes.size(), size, [&](std::size_t i) {
+        hits[i].fetch_add(1, std::memory_order_relaxed);
+    });
+    for (std::size_t i = 0; i < hits.size(); ++i)
+        EXPECT_EQ(hits[i].load(), 1) << "index " << i;
 }
 
 TEST(ParallelFor, ZeroIndicesCallsNothing)

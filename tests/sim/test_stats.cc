@@ -129,16 +129,4 @@ TEST(Histogram, BucketGeometry)
     EXPECT_DOUBLE_EQ(h.bucketLow(4), 18.0);
 }
 
-TEST(UtilizationTracker, ComputesBusyFraction)
-{
-    UtilizationTracker u;
-    u.record(30, true);
-    u.record(70, false);
-    EXPECT_DOUBLE_EQ(u.utilization(), 0.3);
-    EXPECT_EQ(u.busyTime(), 30u);
-    EXPECT_EQ(u.totalTime(), 100u);
-    u.reset();
-    EXPECT_DOUBLE_EQ(u.utilization(), 0.0);
-}
-
 } // namespace
