@@ -177,19 +177,18 @@ ablationCmp(Plan &plan)
         std::printf("%-14s %8s %8s %8s %8s %8s %10s\n", "machine", "tps",
                     "cpi", "mpiK", "bus%", "coh/L3", "tps 95%CI");
         for (std::size_t k = 0; k < std::size(kinds); ++k) {
-            RunningStat tps, cpi, mpi;
+            RunningStat tps, cpi, mpi, bus, coh;
             for (unsigned i = 0; i < kSeeds; ++i) {
                 const RunResult &r = rep.run(sims[k * kSeeds + i]);
                 tps.add(r.tps);
                 cpi.add(r.cpi);
                 mpi.add(r.mpi);
+                bus.add(r.busUtil);
+                coh.add(r.coherenceShareOfL3);
             }
-            // The bus and coherence columns read the first seed's run.
-            const RunResult &first = rep.run(sims[k * kSeeds]);
             std::printf("%-14s %8.0f %8.3f %8.3f %8.1f %8.3f %9.0f\n",
                         core::toString(kinds[k]), tps.mean(), cpi.mean(),
-                        mpi.mean() * 1e3, first.busUtil * 100.0,
-                        first.coherenceShareOfL3,
+                        mpi.mean() * 1e3, bus.mean() * 100.0, coh.mean(),
                         1.96 * tps.stddev() /
                             std::sqrt(static_cast<double>(tps.count())));
         }

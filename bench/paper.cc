@@ -103,6 +103,9 @@ runPlan(const Plan &plan, unsigned jobs, double &sim_seconds)
 {
     const std::vector<Simulation> &sims = plan.simulations();
     std::vector<core::RunResult> results(sims.size());
+    int key_width = 0;
+    for (const Simulation &sim : sims)
+        key_width = std::max(key_width, static_cast<int>(sim.key.size()));
     std::mutex progress_mutex;
     std::size_t done = 0;
     parallelForLargestFirst(
@@ -120,10 +123,10 @@ runPlan(const Plan &plan, unsigned jobs, double &sim_seconds)
                 std::lock_guard<std::mutex> lock(progress_mutex);
                 sim_seconds += wall;
                 std::fprintf(stderr,
-                             "[paper] %3zu/%zu %-40s %7.3f s %12" PRIu64
+                             "[paper] %3zu/%zu %-*s %7.3f s %12" PRIu64
                              " events\n",
-                             ++done, sims.size(), sims[i].key.c_str(),
-                             wall, r.eventsFired);
+                             ++done, sims.size(), key_width,
+                             sims[i].key.c_str(), wall, r.eventsFired);
             }
             results[i] = std::move(r);
         });

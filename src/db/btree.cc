@@ -39,28 +39,19 @@ ImplicitBTree::ImplicitBTree(BlockId base, std::uint64_t capacity,
 IndexPath
 ImplicitBTree::lookup(std::uint64_t key) const
 {
-    odbsim_assert(key < capacity_, "btree key ", key,
-                  " out of range (capacity ", capacity_, ")");
     IndexPath path;
     path.height = height_;
-
-    const std::uint64_t leaf_idx = key / keysPerLeaf_;
+    path.node[height_ - 1] = leafOf(key);
     path.leafSlot = static_cast<std::uint32_t>(key % keysPerLeaf_);
 
-    // Walk from root (level height-1) down to the leaf (level 0); the
-    // node index at level l is the leaf index divided by fanout^l.
-    std::uint64_t idx = leaf_idx;
-    std::uint64_t divisor = 1;
-    for (unsigned l = 1; l < height_; ++l)
-        divisor *= fanout_;
-    for (unsigned l = height_; l-- > 0;) {
-        const std::uint64_t node_idx = leaf_idx / divisor;
+    // Walk up from the leaf (level 0) to the root: each parent's index
+    // is its child's divided by the fanout, so level l holds the leaf
+    // index divided by fanout^l.
+    std::uint64_t node_idx = path.node[height_ - 1] - levelBase_[0];
+    for (unsigned l = 1; l < height_; ++l) {
+        node_idx /= fanout_;
         path.node[height_ - 1 - l] = levelBase_[l] + node_idx;
-        divisor /= fanout_;
-        if (divisor == 0)
-            divisor = 1;
     }
-    (void)idx;
     return path;
 }
 

@@ -17,6 +17,7 @@
 #include <cstdint>
 
 #include "db/types.hh"
+#include "sim/logging.hh"
 
 namespace odbsim::db
 {
@@ -61,6 +62,16 @@ class ImplicitBTree
 
     /** Compute the root-to-leaf path for @p key (< capacity). */
     IndexPath lookup(std::uint64_t key) const;
+
+    /** The leaf holding @p key (< capacity): lookup(key).leaf()
+     *  without the upper levels. */
+    BlockId
+    leafOf(std::uint64_t key) const
+    {
+        odbsim_assert(key < capacity_, "btree key ", key,
+                      " out of range (capacity ", capacity_, ")");
+        return levelBase_[0] + key / keysPerLeaf_;
+    }
 
     /** Nodes at @p level (0 = leaves). */
     std::uint64_t levelNodes(unsigned level) const

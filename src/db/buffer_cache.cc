@@ -1,7 +1,7 @@
 #include "db/buffer_cache.hh"
 
-#include <algorithm>
 #include <bit>
+#include <memory>
 
 #include "sim/logging.hh"
 
@@ -16,10 +16,11 @@ BufferCache::BufferCache(std::uint64_t frames)
     odbsim_assert(frames < noFrame, "a buffer cache of ", frames,
                   " frames needs frame numbers past 32 bits");
     // The LRU list's sentinel lives past the last frame so frame
-    // indices stay dense.
-    frames_.resize(frames + 1);
-    frames_[sentinel_].prev = sentinel_;
-    frames_[sentinel_].next = sentinel_;
+    // indices stay dense. The frames themselves stay unwritten until
+    // a block takes them (see Frame).
+    frames_ = std::make_unique_for_overwrite<Frame[]>(frames + 1);
+    frames_[sentinel_] =
+        Frame{invalidBlock, false, false, sentinel_, sentinel_, noFrame};
     // At least one bucket per frame, so chains average at most one
     // resident block; residency never exceeds the frame count, so the
     // heads never grow.
@@ -142,40 +143,40 @@ BufferCache::finishWarmFill(std::uint64_t n)
     // frame 0 (LRU), and nextFree is n. Chain order within a bucket
     // does not matter: a block is in at most one frame, so a probe
     // finds the same frame whatever the order.
-    //  - warmFill() gave the i-th block frame numFrames-1-i. When the
-    //    stream filled the cache (n == numFrames) that is n-1-i
-    //    already.
+    //  - warmFill() gave the i-th block frame numFrames-1-i and linked
+    //    frame f between f+1 (towards MRU) and f-1 (towards LRU). When
+    //    the stream filled the cache (n == numFrames) that is frame
+    //    n-1-i already, and the links are those of the pushFront()s
+    //    of frames 0, 1, ..., n-1, but at the two ends of the list.
     //  - When the stream ran dry first, every frame number sits
     //    numFrames-n too high: slide frames [numFrames-n, numFrames)
-    //    down to [0, n), reset the vacated ones to empty, and lower
-    //    every bucket head and hashNext link by the same gap.
-    //  - One sweep then links frame f between f+1 (towards MRU) and
-    //    f-1 (towards LRU), which is exactly the list n pushFront()s
-    //    of frames 0, 1, ..., n-1 build.
+    //    down to [0, n) and lower their LRU and chain links and every
+    //    bucket head by the same gap. The frames from n up keep stale
+    //    headers, but nothing reaches them: no chain or list link
+    //    does, and blockAt() and isDirty() read only frames below
+    //    nextFree.
+    //  - Then frame n-1 (MRU) and frame 0 (LRU) take the sentinel as
+    //    their outer links.
     const std::uint64_t gap = numFrames_ - n;
     if (gap > 0) {
-        std::copy(frames_.begin() + static_cast<std::ptrdiff_t>(gap),
-                  frames_.begin() + static_cast<std::ptrdiff_t>(numFrames_),
-                  frames_.begin());
-        std::fill(frames_.begin() + static_cast<std::ptrdiff_t>(n),
-                  frames_.begin() + static_cast<std::ptrdiff_t>(numFrames_),
-                  Frame{});
+        // Forwards, so each frame is read before the slide writes it.
         const auto shift = static_cast<std::uint32_t>(gap);
-        const auto lower = [shift](std::uint32_t &f) {
-            if (f != noFrame)
-                f -= shift;
-        };
-        std::for_each(heads_.begin(), heads_.end(), lower);
-        for (std::uint64_t f = 0; f < n; ++f)
-            lower(frames_[f].hashNext);
+        for (std::uint64_t f = 0; f < n; ++f) {
+            Frame fr = frames_[f + gap];
+            fr.prev -= shift;
+            fr.next -= shift;
+            if (fr.hashNext != noFrame)
+                fr.hashNext -= shift;
+            frames_[f] = fr;
+        }
+        for (std::uint32_t &head : heads_) {
+            if (head != noFrame)
+                head -= shift;
+        }
     }
     nextFree_ = n;
     if (n == 0)
         return;
-    for (std::uint32_t f = 0; f < n; ++f) {
-        frames_[f].prev = f + 1;
-        frames_[f].next = f - 1;
-    }
     const auto mru = static_cast<std::uint32_t>(n - 1);
     frames_[mru].prev = sentinel_;
     frames_[0].next = sentinel_;

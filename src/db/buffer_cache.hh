@@ -31,7 +31,9 @@
 #define ODBSIM_DB_BUFFER_CACHE_HH
 
 #include <cstdint>
+#include <memory>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "db/types.hh"
@@ -104,16 +106,17 @@ class BufferCache
     /** Mark the block in @p frame modified. */
     void markDirty(std::uint64_t frame);
 
-    /** Whether the block in @p frame is dirty. */
+    /** Whether the block in @p frame is dirty; an empty frame is
+     *  clean. */
     bool isDirty(std::uint64_t frame) const
     {
-        return frames_[frame].dirty;
+        return frame < nextFree_ && frames_[frame].dirty;
     }
 
-    /** Block currently held by @p frame. */
+    /** Block currently held by @p frame, or invalidBlock if none. */
     BlockId blockAt(std::uint64_t frame) const
     {
-        return frames_[frame].block;
+        return frame < nextFree_ ? frames_[frame].block : invalidBlock;
     }
 
     /**
@@ -146,12 +149,14 @@ class BufferCache
                       "a warm fill needs an empty buffer cache, but ",
                       nextFree_, " blocks are resident");
         // The k-th distinct block (k from 0) takes frame numFrames-1-k,
-        // written in place and pushed on its chain, so frames are final
-        // whenever the cache fills. The chains both dedupe the stream
-        // and map each block to its frame. finishWarmFill() slides the
-        // frames down if the stream ran dry and links the LRU list; it
-        // carries the proof that the result equals the coldest-first
-        // prefill().
+        // whose header is written whole, once: the block, its LRU links
+        // to frames f+1 (towards MRU) and f-1 (towards LRU), and its
+        // chain link. So when the cache fills, every header is final
+        // except the coldest frame's LRU link. The chains both dedupe
+        // the stream and map each block to its frame. finishWarmFill()
+        // slides the frames down if the stream ran dry and sets the
+        // list's two ends; it carries the proof that the result equals
+        // the coldest-first prefill().
         std::uint64_t n = 0;
         stream([&](std::span<const BlockId> chunk) {
             for (const BlockId b : chunk) {
@@ -159,11 +164,8 @@ class BufferCache
                 if (find(b, bucket) != noFrame)
                     continue; // A hotter occurrence already has a frame.
                 const auto f = static_cast<std::uint32_t>(numFrames_ - 1 - n);
-                Frame &fr = frames_[f];
-                fr.block = b;
-                fr.dirty = dirty(b);
-                fr.ioPending = false;
-                fr.hashNext = heads_[bucket];
+                frames_[f] = Frame{b, dirty(b), false, f + 1, f - 1,
+                                   heads_[bucket]};
                 heads_[bucket] = f;
                 if (++n == numFrames_)
                     return false;
@@ -216,18 +218,23 @@ class BufferCache
      *  the LRU sentinel's included, below it. */
     static constexpr std::uint32_t noFrame = ~std::uint32_t{0};
 
+    /** A frame header. Each path that makes frame f reachable (by a
+     *  chain, the LRU list or f < nextFree_) writes all of it first,
+     *  so the constructor leaves the headers unwritten. */
     struct Frame
     {
-        BlockId block = invalidBlock;
-        bool dirty = false;
-        bool ioPending = false;
-        std::uint32_t prev = 0;
-        std::uint32_t next = 0;
+        BlockId block;
+        bool dirty;
+        bool ioPending;
+        std::uint32_t prev;
+        std::uint32_t next;
         /** Next frame of this block's hash chain, or noFrame. */
-        std::uint32_t hashNext = noFrame;
+        std::uint32_t hashNext;
     };
     static_assert(sizeof(Frame) == 24,
                   "hashNext lives in the frame header's tail padding");
+    static_assert(std::is_trivially_default_constructible_v<Frame>,
+                  "the frame array is allocated without writing it");
 
     /** Fibonacci hash of @p b onto the bucket heads. */
     std::uint64_t
@@ -252,7 +259,7 @@ class BufferCache
 
     /** The frames, then the LRU list's head/tail anchor at index
      *  numFrames_ (next = MRU, prev = LRU). */
-    std::vector<Frame> frames_;
+    std::unique_ptr<Frame[]> frames_;
     /** First frame of each bucket's hash chain, or noFrame. */
     std::vector<std::uint32_t> heads_;
     unsigned bucketShift_ = 0; ///< 64 - log2(heads_.size())

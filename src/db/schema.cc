@@ -494,15 +494,15 @@ Schema::enumerateWarm(const WarmSink &sink) const
             if (r < d_cnt) {
                 const std::uint64_t key = customerKey(
                     w, static_cast<std::uint32_t>(r), 0);
-                if (!cb(custIdx_->lookup(key).leaf()))
+                if (!cb(custIdx_->leafOf(key)))
                     return;
-                if (!cb(nameIdx_->lookup(key).leaf()))
+                if (!cb(nameIdx_->leafOf(key)))
                     return;
             }
             if (r < hot_stock_leaves) {
                 const std::uint64_t key =
                     stockKey(w, 0) + r * stockIdxKeysPerLeaf;
-                if (!cb(stockIdx_->lookup(key).leaf()))
+                if (!cb(stockIdx_->leafOf(key)))
                     return;
             }
         }
@@ -525,11 +525,9 @@ Schema::enumerateWarm(const WarmSink &sink) const
                 if (!cb(b))
                     return;
             }
-            if (!cb(ordersIdx_->lookup(orderKey(w, d, nextDelivery_[dd]))
-                        .leaf()))
+            if (!cb(ordersIdx_->leafOf(orderKey(w, d, nextDelivery_[dd]))))
                 return;
-            if (!cb(noIdx_->lookup(newOrderKey(w, d, nextOid_[dd]))
-                        .leaf()))
+            if (!cb(noIdx_->leafOf(newOrderKey(w, d, nextOid_[dd]))))
                 return;
         }
     }
@@ -552,19 +550,19 @@ Schema::enumerateWarm(const WarmSink &sink) const
             if (r < cil_per_w) {
                 const std::uint64_t key =
                     customerKey(w, 0, 0) + r * custIdxKeysPerLeaf;
-                if (!cb(custIdx_->lookup(key).leaf()))
+                if (!cb(custIdx_->leafOf(key)))
                     return;
             }
             if (r < nil_per_w) {
                 const std::uint64_t key =
                     customerKey(w, 0, 0) + r * nameIdxKeysPerLeaf;
-                if (!cb(nameIdx_->lookup(key).leaf()))
+                if (!cb(nameIdx_->leafOf(key)))
                     return;
             }
             if (r < sil_per_w) {
                 const std::uint64_t key =
                     stockKey(w, 0) + r * stockIdxKeysPerLeaf;
-                if (!cb(stockIdx_->lookup(key).leaf()))
+                if (!cb(stockIdx_->leafOf(key)))
                     return;
             }
             if (r < cust_per_w) {

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the implicit B-tree: geometry, path determinism, extent
- * layout, hot-prefix property of internal levels.
+ * layout, hot-prefix property of internal levels, closed-form leaves.
  */
 
 #include <gtest/gtest.h>
@@ -9,6 +9,7 @@
 #include <set>
 
 #include "db/btree.hh"
+#include "sim/rng.hh"
 
 namespace
 {
@@ -91,6 +92,60 @@ TEST(ImplicitBTree, OutOfRangeKeyPanics)
 {
     ImplicitBTree t(0, 100, 10, 10);
     EXPECT_DEATH({ t.lookup(100); }, "out of range");
+    EXPECT_DEATH({ t.leafOf(100); }, "out of range");
+}
+
+/**
+ * leafOf() agrees with lookup()'s leaf, and lookup()'s path holds, at
+ * each level l, leaf index / fanout^l (the definition of an implicit
+ * tree whose nodes each take fanout children). Heights 1 to 5, at the
+ * first and last key, each leaf boundary and its neighbours, and
+ * 10,000 seeded keys.
+ */
+TEST(ImplicitBTree, LeafOfMatchesLookup)
+{
+    struct Geometry
+    {
+        std::uint64_t capacity;
+        std::uint32_t perLeaf;
+        std::uint32_t fanout;
+        unsigned height;
+    };
+    const Geometry geometries[] = {
+        {50, 300, 250, 1},     {1000, 100, 250, 2}, {100000, 100, 50, 3},
+        {24000000, 300, 250, 4}, {69993, 7, 10, 5}, {100, 2, 3, 5},
+    };
+    for (const Geometry &g : geometries) {
+        SCOPED_TRACE(::testing::Message()
+                     << g.capacity << " keys, " << g.perLeaf
+                     << " per leaf, fanout " << g.fanout);
+        const ImplicitBTree t(77, g.capacity, g.perLeaf, g.fanout);
+        ASSERT_EQ(t.height(), g.height);
+        const auto check = [&](std::uint64_t key) {
+            const IndexPath p = t.lookup(key);
+            ASSERT_EQ(t.leafOf(key), p.leaf()) << "key " << key;
+            const std::uint64_t leaf = key / g.perLeaf;
+            std::uint64_t per_node = 1;
+            for (unsigned l = 0; l < t.height(); ++l) {
+                ASSERT_EQ(p.node[t.height() - 1 - l],
+                          t.levelBase(l) + leaf / per_node)
+                    << "key " << key << ", level " << l;
+                per_node *= g.fanout;
+            }
+        };
+        ASSERT_NO_FATAL_FAILURE(check(0));
+        ASSERT_NO_FATAL_FAILURE(check(g.capacity - 1));
+        for (std::uint64_t k = g.perLeaf; k < g.capacity; k += g.perLeaf) {
+            ASSERT_NO_FATAL_FAILURE(check(k - 1));
+            ASSERT_NO_FATAL_FAILURE(check(k));
+            if (k + 1 < g.capacity) {
+                ASSERT_NO_FATAL_FAILURE(check(k + 1));
+            }
+        }
+        Rng rng(g.capacity * 31 + g.fanout);
+        for (int i = 0; i < 10'000; ++i)
+            ASSERT_NO_FATAL_FAILURE(check(rng.below(g.capacity)));
+    }
 }
 
 /**

@@ -40,6 +40,28 @@ TEST(BufferCache, MissThenHit)
     EXPECT_EQ(bc.misses(), 1u);
 }
 
+TEST(BufferCache, FreshCacheFramesReadEmpty)
+{
+    // The constructor leaves frame headers unwritten until a block
+    // takes them, yet every frame past the resident ones reads empty
+    // and clean. 358,400 frames is the studied 2.8 GB cache.
+    for (const std::uint64_t frames : {8ull, 13ull, 358'400ull}) {
+        SCOPED_TRACE(::testing::Message() << frames << " frames");
+        BufferCache bc(frames);
+        for (std::uint64_t f = 0; f < frames; ++f) {
+            ASSERT_EQ(bc.blockAt(f), invalidBlock) << "frame " << f;
+            ASSERT_FALSE(bc.isDirty(f)) << "frame " << f;
+        }
+        bc.prefill(7, true);
+        EXPECT_EQ(bc.blockAt(0), 7u);
+        EXPECT_TRUE(bc.isDirty(0));
+        for (std::uint64_t f = 1; f < frames; ++f) {
+            ASSERT_EQ(bc.blockAt(f), invalidBlock) << "frame " << f;
+            ASSERT_FALSE(bc.isDirty(f)) << "frame " << f;
+        }
+    }
+}
+
 TEST(BufferCache, UsesFreeFramesBeforeEvicting)
 {
     BufferCache bc(8);
@@ -561,8 +583,8 @@ TEST(BufferCache, WarmFillMatchesColdestFirstPrefill)
     // distinct blocks coldest-first. Half the blocks share buckets,
     // blocks repeat, and chunks are 1 to 7 blocks long. A stream of
     // half the frame count runs dry, so the frames and their chain
-    // links slide down; one of three times the frame count fills the
-    // cache partway through a chunk, whose rest is ignored.
+    // and LRU links slide down; one of three times the frame count
+    // fills the cache partway through a chunk, whose rest is ignored.
     for (const std::uint64_t frames : {8ull, 13ull, 64ull, 1000ull}) {
         for (const std::uint64_t length : {frames / 2, 3 * frames}) {
             SCOPED_TRACE(::testing::Message()

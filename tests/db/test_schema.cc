@@ -262,6 +262,65 @@ TEST(Schema, WarmEnumerationStopsAfterTheSinkSaysSo)
     EXPECT_TRUE(std::equal(got.begin(), got.end(), all.begin()));
 }
 
+/** Length and 64-bit fold of a warm stream's first @p limit blocks. */
+struct WarmDigest
+{
+    std::uint64_t length = 0;
+    std::uint64_t fold = 0xcbf29ce484222325ULL;
+};
+
+WarmDigest
+warmDigest(const Schema &s, std::uint64_t limit)
+{
+    WarmDigest d;
+    s.enumerateWarm([&](std::span<const BlockId> chunk) {
+        for (const BlockId b : chunk) {
+            d.fold = (d.fold ^ b) * 0x100000001b3ULL;
+            if (++d.length == limit)
+                return false;
+        }
+        return true;
+    });
+    return d;
+}
+
+TEST(Schema, WarmStreamMatchesRecordedDigests)
+{
+    // The warm stream decides every frame of an instantly warmed
+    // cache. The InstantWarm tests build their reference from the
+    // same stream, so only pinned values catch a change to it. The
+    // whole stream at W = 1, 10 and 64 runs through every stage; at
+    // W=4096 the first 2^18 blocks cover the 100x point's cache.
+    // Recorded from the chunked enumeration with full index lookups.
+    const auto sized = [](unsigned w) {
+        SchemaConfig cfg;
+        cfg.warehouses = w;
+        return cfg;
+    };
+    const std::uint64_t all = ~std::uint64_t{0};
+    struct Case
+    {
+        SchemaConfig cfg;
+        std::uint64_t limit;
+        std::uint64_t length;
+        std::uint64_t fold;
+    };
+    const Case cases[] = {
+        {tinyCfg(), all, 1178, 0xd6ea5fc5eee4b9eaULL},
+        {sized(1), all, 8668, 0x517f5358eb812416ULL},
+        {sized(10), all, 75029, 0x2ed590f1bd22aedfULL},
+        {sized(64), all, 473169, 0x456c05d5fd37ca53ULL},
+        {sized(4096), std::uint64_t{1} << 18, 262144,
+         0x07090dc8f61d0c3bULL},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(::testing::Message() << "W=" << c.cfg.warehouses);
+        const WarmDigest d = warmDigest(Schema(c.cfg), c.limit);
+        EXPECT_EQ(d.length, c.length);
+        EXPECT_EQ(d.fold, c.fold);
+    }
+}
+
 TEST(Schema, MixIsDeterministicAndSpread)
 {
     EXPECT_EQ(Schema::mix(1, 2, 3), Schema::mix(1, 2, 3));
